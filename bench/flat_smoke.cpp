@@ -1,18 +1,18 @@
-// Sharded-replay perf guardrail + determinism smoke (CI: bench-smoke job).
+// Flat-replay perf guardrail + determinism smoke (CI: bench-smoke job).
 //
 // Replays one RAID-5 write-heavy trace through both kernels and
-//   1. asserts the sharded kernel's metrics are bit-identical to the
-//      classic kernel's (the determinism contract, re-proven in Release
-//      mode on every CI run, not just in the unit suite),
-//   2. times both and fails if the sharded kernel's speedup falls below
+//   1. asserts the flat kernel's metrics are bit-identical to the classic
+//      kernel's (the determinism contract, re-proven in Release mode on
+//      every CI run, not just in the unit suite),
+//   2. times both and fails if the flat kernel's speedup falls below
 //      --min-speedup (default 2.0) — the regression tripwire for the flat
 //      kernel's perf win. Pass --min-speedup=0 to record without gating
 //      (CI offers the `skip-perf-guardrail` label for noisy runners),
 //   3. optionally writes the obs snapshot (--metrics-out=FILE) so the
-//      per-shard counters (replay.shard.*) land in a CI artifact.
+//      flat kernel's counters (replay.flat.*) land in a CI artifact.
 //
-//   sharded_smoke [--bunches=N] [--shards=S] [--reps=R]
-//                 [--min-speedup=F] [--metrics-out=FILE]
+//   flat_smoke [--bunches=N] [--reps=R] [--min-speedup=F]
+//              [--metrics-out=FILE]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -51,7 +51,7 @@ double flag_double(int argc, char** argv, const char* name, double fallback) {
 
 trace::Trace make_trace(std::size_t bunches) {
   trace::Trace trace;
-  trace.device = "sharded-smoke";
+  trace.device = "flat-smoke";
   std::uint64_t state = 12345;
   for (std::size_t b = 0; b < bunches; ++b) {
     trace::Bunch bunch;
@@ -77,7 +77,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int main(int argc, char** argv) {
   const std::uint64_t bunches = flag_u64(argc, argv, "bunches", 2000);
-  const std::uint64_t shards = flag_u64(argc, argv, "shards", 4);
   const std::uint64_t reps = flag_u64(argc, argv, "reps", 5);
   const double min_speedup = flag_double(argc, argv, "min-speedup", 2.0);
   const char* metrics_out = flag_value(argc, argv, "metrics-out");
@@ -93,39 +92,36 @@ int main(int argc, char** argv) {
     storage::DiskArray array(engine.simulator(), config);
     classic_report = engine.replay(trace, array);
   }
-  core::ShardedReplayOptions opts;
-  opts.shards = shards;
-  core::ReplayReport sharded_report;
+  core::ReplayReport flat_report;
   {
     core::ReplayEngine engine;
-    sharded_report = engine.replay_sharded(trace, config, opts);
+    flat_report = engine.replay_flat(trace, config);
   }
   const bool identical =
-      classic_report.perf.completions == sharded_report.perf.completions &&
+      classic_report.perf.completions == flat_report.perf.completions &&
       classic_report.perf.avg_response_ms ==
-          sharded_report.perf.avg_response_ms &&
-      classic_report.joules == sharded_report.joules &&
-      classic_report.avg_true_watts == sharded_report.avg_true_watts &&
-      classic_report.events_dispatched == sharded_report.events_dispatched;
-  std::printf("determinism: classic vs sharded/%llu -> %s\n",
-              static_cast<unsigned long long>(shards),
+          flat_report.perf.avg_response_ms &&
+      classic_report.joules == flat_report.joules &&
+      classic_report.avg_true_watts == flat_report.avg_true_watts &&
+      classic_report.events_dispatched == flat_report.events_dispatched;
+  std::printf("determinism: classic vs flat -> %s\n",
               identical ? "IDENTICAL" : "MISMATCH");
   if (!identical) {
     std::fprintf(stderr,
-                 "FATAL: sharded kernel diverged from classic kernel\n"
+                 "FATAL: flat kernel diverged from classic kernel\n"
                  "  completions %llu vs %llu\n  joules %.17g vs %.17g\n",
                  static_cast<unsigned long long>(
                      classic_report.perf.completions),
                  static_cast<unsigned long long>(
-                     sharded_report.perf.completions),
-                 classic_report.joules, sharded_report.joules);
+                     flat_report.perf.completions),
+                 classic_report.joules, flat_report.joules);
     return 1;
   }
 
   // Timing: best-of-reps for each kernel (contended CI runners make means
   // useless; the minimum is the least-noisy estimator of true cost).
   double classic_best = 1e100;
-  double sharded_best = 1e100;
+  double flat_best = 1e100;
   for (std::uint64_t r = 0; r < reps; ++r) {
     {
       core::ReplayEngine engine;
@@ -137,14 +133,13 @@ int main(int argc, char** argv) {
     {
       core::ReplayEngine engine;
       const auto t0 = std::chrono::steady_clock::now();
-      (void)engine.replay_sharded(trace, config, opts);
-      sharded_best = std::min(sharded_best, seconds_since(t0));
+      (void)engine.replay_flat(trace, config);
+      flat_best = std::min(flat_best, seconds_since(t0));
     }
   }
-  const double speedup = classic_best / sharded_best;
+  const double speedup = classic_best / flat_best;
   std::printf("classic:      %.3f ms\n", classic_best * 1e3);
-  std::printf("sharded/%llu:    %.3f ms\n",
-              static_cast<unsigned long long>(shards), sharded_best * 1e3);
+  std::printf("flat:         %.3f ms\n", flat_best * 1e3);
   std::printf("speedup:      %.2fx (guardrail: %.2fx)\n", speedup,
               min_speedup);
 
@@ -155,7 +150,7 @@ int main(int argc, char** argv) {
 
   if (min_speedup > 0.0 && speedup < min_speedup) {
     std::fprintf(stderr,
-                 "FATAL: sharded speedup %.2fx below guardrail %.2fx\n",
+                 "FATAL: flat speedup %.2fx below guardrail %.2fx\n",
                  speedup, min_speedup);
     return 1;
   }

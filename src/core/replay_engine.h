@@ -25,7 +25,7 @@
 #include "trace/trace_view.h"
 
 namespace tracer::storage {
-struct ArrayConfig;  // storage/disk_array.h; replay_sharded takes it by ref
+struct ArrayConfig;  // storage/disk_array.h; replay_flat takes it by ref
 }
 
 namespace tracer::core {
@@ -97,27 +97,6 @@ struct ReplayReport {
   std::vector<power::PowerSample> power_series;
 };
 
-/// Tuning for ReplayEngine::replay_sharded — the flat, shardable replay
-/// kernel (DESIGN.md §6g). The defaults reproduce the classic kernel's
-/// results exactly; `shards`/`planner_threads` only change how the work is
-/// partitioned, never the metrics (the determinism contract tested by
-/// tests/test_sharded_replay.cpp).
-struct ShardedReplayOptions {
-  /// Event-queue shards. Member disk d maps to shard d % shards;
-  /// controller/admission/sampler events pin to shard 0. Clamped to
-  /// [1, disk_count].
-  std::size_t shards = 1;
-  /// Service-plan worker threads. -1 = auto (min(shards - 1,
-  /// hardware_concurrency - 1)); 0 = plan inline on the replay thread in
-  /// SoA batches.
-  int planner_threads = 0;
-  /// Mark one member failed before replay (degraded RAID-5), mirroring
-  /// RaidController::fail_disk. -1 = healthy array.
-  int failed_disk = -1;
-  /// SoA staging-batch size for the mech planners.
-  std::size_t plan_block = 256;
-};
-
 class ReplayEngine {
  public:
   /// The engine owns its simulator: every replay is an isolated experiment
@@ -156,28 +135,29 @@ class ReplayEngine {
   ReplayReport replay(const trace::Trace& trace, storage::BlockDevice& device,
                       const std::vector<power::PowerSource*>& extra_sources = {});
 
-  /// Sharded replay kernel (the tentpole of DESIGN.md §6g): replays the
-  /// trace against a disk array described by `config` using per-shard event
-  /// queues, POD events, a flat transaction slab, and batched SoA service
-  /// planning — no per-event closures, no shared_ptr transactions. Metrics
-  /// are bit-identical to replay() against a DiskArray built from the same
-  /// config, for every shard count and planner-thread count. Arrays whose
-  /// HDDs use a non-FIFO discipline fall back to the classic kernel
-  /// (service order would depend on queue inspection timing).
-  ReplayReport replay_sharded(const trace::TraceSource& source,
-                              const storage::ArrayConfig& config,
-                              const ShardedReplayOptions& sharded = {});
-  ReplayReport replay_sharded(const trace::TraceView& view,
-                              const storage::ArrayConfig& config,
-                              const ShardedReplayOptions& sharded = {});
-  ReplayReport replay_sharded(const trace::Trace& trace,
-                              const storage::ArrayConfig& config,
-                              const ShardedReplayOptions& sharded = {});
+  /// Flat replay kernel (DESIGN.md §6g): replays the trace against a disk
+  /// array described by `config` on one queue of POD events, with a flat
+  /// transaction slab and batched SoA service planning — no per-event
+  /// closures, no shared_ptr transactions. `failed_disk` >= 0 marks that
+  /// member failed before replay (degraded RAID-5), mirroring
+  /// RaidController::fail_disk. Metrics are bit-identical to replay()
+  /// against a DiskArray built from the same config. Arrays whose HDDs use
+  /// a non-FIFO discipline, and cache-enabled configs, replay through the
+  /// classic kernel instead.
+  ReplayReport replay_flat(const trace::TraceSource& source,
+                           const storage::ArrayConfig& config,
+                           int failed_disk = -1);
+  ReplayReport replay_flat(const trace::TraceView& view,
+                           const storage::ArrayConfig& config,
+                           int failed_disk = -1);
+  ReplayReport replay_flat(const trace::Trace& trace,
+                           const storage::ArrayConfig& config,
+                           int failed_disk = -1);
 
   sim::Simulator& simulator() { return sim_; }
 
  private:
-  friend class ShardedReplayKernel;  // replay_sharded.cpp implementation
+  friend class FlatReplayKernel;  // replay_flat.cpp implementation
 
   void schedule_bunch(const trace::TraceSource& source, std::size_t index,
                       storage::BlockDevice& device, Seconds warm_end);

@@ -1,59 +1,52 @@
-// Sharded replay kernel (DESIGN.md §6g) — the flat, multi-core-capable
-// replay data path behind ReplayEngine::replay_sharded.
+// Flat replay kernel (DESIGN.md §6g) — the single-queue replay data path
+// behind ReplayEngine::replay_flat.
 //
 // The classic kernel replays through the device-model object graph:
 // closures in the simulator slab, shared_ptr transactions in the RAID
-// controller, std::map row bookkeeping, per-request service-time math at
-// service start. This file replaces that data path for the common replay
-// shape (DiskArray of FIFO HDDs or SSDs) with
+// controller, per-request service-time math at service start. This file
+// replaces that data path for the common replay shape (DiskArray of FIFO
+// HDDs or SSDs) with
 //
-//   * sim::ShardedSimulator — per-disk-shard queues of 24-byte POD events,
-//     no closures, no slab, popping the global (time, seq) minimum;
+//   * sim::FlatSimulator — one binary heap of 24-byte POD events, no
+//     closures, no slab, a switch in the run loop;
 //   * a flat transaction slab + per-disk append-only operation logs —
 //     steady state allocates nothing;
-//   * batched SoA admission: child operations are staged into per-disk logs
+//   * batched SoA planning: child operations are appended to per-disk logs
 //     and their service plans (seek/rotation/transfer or channel latency)
-//     are computed in blocks by the mech_batch planners, either inline
-//     between events or on planner worker threads.
+//     are computed in blocks by the mech_batch planners when the first op
+//     of a block enters service.
+//
+// The RAID-5 write plan (storage::plan_raid5_write) and the service power
+// pulses (storage::hdd_add_service_pulses / ssd_add_service_pulse) are the
+// same functions RaidController, HddModel and SsdModel call.
 //
 // Determinism contract: every schedule() here corresponds 1:1, in program
 // order, to a schedule_at() the classic kernel would perform for the same
-// trace and config — same times, same global sequence numbers, same
-// per-disk RNG consumption order, same floating-point expression shapes
-// (copied verbatim from HddModel/SsdModel/RaidController/DiskArray). Shard
-// count and planner-thread count only change how events are partitioned
-// and when plans are computed, never any value — so the metrics are
-// bit-identical to ReplayEngine::replay against a DiskArray, for every
-// shards/planner_threads combination (tests/test_sharded_replay.cpp
-// asserts EXPECT_EQ on the doubles).
+// trace and config — same times, same sequence numbers, same per-disk RNG
+// consumption order, same floating-point expression shapes — so the
+// metrics are bit-identical to ReplayEngine::replay against a DiskArray
+// (tests/test_flat_replay.cpp asserts EXPECT_EQ on the doubles).
 //
 // Plan-ahead correctness: with FIFO service, a request's *duration*
 // depends only on its position in the per-disk request order (head
 // position, sequential detection, RNG draws), never on when service
-// starts. So plans are computed in append order, possibly long before —
-// or on another thread than — the service-start event that consumes them.
-// The coordinator publishes appended ops with a release store to
-// `Lane::tail`; the planner acquires `tail`, fills the plan fields, and
-// publishes with a release store to `Lane::planned`; the coordinator
-// acquires `planned` before reading any plan field.
+// starts. So plans are computed in append order, possibly before the
+// service-start event that consumes them.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/replay_engine.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "power/power_analyzer.h"
-#include "sim/sharded_simulator.h"
+#include "sim/flat_simulator.h"
 #include "storage/disk_array.h"
 #include "storage/mech_batch.h"
 #include "util/rng.h"
-#include "util/sync.h"
 
 namespace tracer::core {
 
@@ -73,21 +66,20 @@ enum : std::uint32_t {
   kEvStartMeasure = 6,  // warm-up boundary: open the analyzer window
 };
 
-/// One child operation in a per-disk log. The coordinator writes the
-/// identity fields at append time and publishes via Lane::tail; the lane's
-/// planner fills the plan doubles and publishes via Lane::planned.
-/// `used_channels` stays coordinator-owned (the SSD head-of-line check
-/// reads it before the plan exists; it depends only on `bytes`).
+/// One child operation in a per-disk log. The identity fields are written
+/// at append time, the plan doubles by the lane's batch planner.
+/// `used_channels` is set at append time too: the SSD head-of-line check
+/// reads it before the plan exists (it depends only on `bytes`).
 struct ChildOp {
   Sector sector = 0;
   std::uint32_t bytes = 0;
   std::uint32_t txn = 0;            ///< owning transaction slot
-  std::uint32_t row = 0;            ///< RMW row key (row_read ops only)
+  std::uint32_t row = 0;            ///< txn row phase (row_read ops only)
   std::uint8_t write = 0;
   std::uint8_t row_read = 0;        ///< completion triggers deferred writes
   std::uint16_t reserved = 0;
-  std::uint32_t used_channels = 0;  ///< SSD fan-out, coordinator-owned
-  // ---- plan fields (planner-owned until Lane::planned covers this op) ----
+  std::uint32_t used_channels = 0;  ///< SSD fan-out
+  // ---- plan fields (valid once Lane::planned covers this op) ----
   double seek = 0.0;
   double rotation = 0.0;
   double transfer = 0.0;
@@ -95,30 +87,22 @@ struct ChildOp {
 };
 static_assert(sizeof(ChildOp) == 64, "ChildOp should stay one cache line");
 
-/// Append-only per-disk operation log in fixed-size blocks. Block addresses
-/// are stable (the pointer table never reallocates after init), so the
-/// planner thread can read entries while the coordinator appends new
-/// blocks; fully-completed blocks are freed to bound memory on long
-/// replays.
+/// Append-only per-disk operation log in fixed-size blocks. Blocks never
+/// move once allocated (only the pointer table grows), so a ChildOp
+/// reference stays valid across appends; fully-completed blocks are freed
+/// to bound memory on long replays.
 class OpLog {
  public:
   static constexpr std::uint64_t kBlockShift = 12;  // 4096 ops = 256 KiB
   static constexpr std::uint64_t kBlockSize = 1ULL << kBlockShift;
   static constexpr std::uint64_t kBlockMask = kBlockSize - 1;
 
-  void init(std::size_t max_blocks) {
-    blocks_.resize(max_blocks);
-    completed_in_block_.assign(max_blocks, 0);
-  }
-
   ChildOp& append() {
     const std::uint64_t idx = size_;
     const std::size_t b = static_cast<std::size_t>(idx >> kBlockShift);
     if ((idx & kBlockMask) == 0) {
-      if (b >= blocks_.size()) {
-        throw std::length_error("replay_sharded: operation log overflow");
-      }
-      blocks_[b].reset(new ChildOp[kBlockSize]);
+      blocks_.push_back(std::make_unique<ChildOp[]>(kBlockSize));
+      completed_in_block_.push_back(0);
     }
     ++size_;
     return blocks_[b][idx & kBlockMask];
@@ -132,7 +116,7 @@ class OpLog {
   std::uint64_t size() const { return size_; }
 
   /// Every op of a block completes before any later op is planned, so a
-  /// full block can never be touched again by either side.
+  /// full block can never be touched again.
   void mark_completed(std::uint64_t idx) {
     const std::size_t b = static_cast<std::size_t>(idx >> kBlockShift);
     if (++completed_in_block_[b] == kBlockSize) blocks_[b].reset();
@@ -145,28 +129,16 @@ class OpLog {
 };
 
 /// Per-member-disk state: the flat equivalent of one HddModel/SsdModel plus
-/// its queue. Coordinator-owned except where noted.
+/// its queue.
 struct Lane {
   explicit Lane(Watts idle_watts) : timeline(idle_watts) {}
 
-  // -- immutable after setup --
-  std::uint32_t shard = 0;
-  std::uint32_t worker = 0;  ///< owning planner worker (planner_threads > 0)
-
-  // -- coordinator-owned service state --
-  std::uint64_t head = 0;  ///< next op to enter service
-  bool busy = false;       ///< HDD: actuator in service
-  bool dirty = false;      ///< has appends not yet handed to the planner
+  std::uint64_t head = 0;     ///< next op to enter service
+  std::uint64_t planned = 0;  ///< ops whose plan fields are filled
+  bool busy = false;          ///< HDD: actuator in service
   std::size_t busy_channels = 0;  ///< SSD: channels in service
   power::PowerTimeline timeline;
   OpLog log;
-
-  // -- handoff (release/acquire pairs, see file comment) --
-  std::atomic<std::uint64_t> tail{0};     ///< ops appended & published
-  std::atomic<std::uint64_t> planned{0};  ///< ops with plan fields ready
-
-  // -- planner-owned (exactly one planning owner per lane) --
-  std::uint64_t planner_pos = 0;  ///< mirror of `planned` for the owner
   storage::HddMechState hmech;
   storage::SsdMechState smech;
   util::Rng rng{0};
@@ -175,21 +147,18 @@ struct Lane {
   std::uint64_t sequential_hits = 0;
 };
 
-/// SoA staging buffers for one planning owner.
-struct PlanScratch {
-  std::vector<Sector> sectors;
-  std::vector<Bytes> bytes;
-  std::vector<std::uint8_t> ops;
-  std::vector<storage::HddServicePlan> hplans;
-  std::vector<storage::SsdServicePlan> splans;
+/// Ops planned per mech_batch call.
+constexpr std::size_t kPlanBlock = 256;
 
-  void init(std::size_t block) {
-    sectors.resize(block);
-    bytes.resize(block);
-    ops.resize(block);
-    hplans.resize(block);
-    splans.resize(block);
-  }
+/// SoA staging buffers for the batch planners.
+struct PlanScratch {
+  std::vector<Sector> sectors = std::vector<Sector>(kPlanBlock);
+  std::vector<Bytes> bytes = std::vector<Bytes>(kPlanBlock);
+  std::vector<std::uint8_t> ops = std::vector<std::uint8_t>(kPlanBlock);
+  std::vector<storage::HddServicePlan> hplans =
+      std::vector<storage::HddServicePlan>(kPlanBlock);
+  std::vector<storage::SsdServicePlan> splans =
+      std::vector<storage::SsdServicePlan>(kPlanBlock);
 };
 
 /// The array as one analyzer channel, replicating DiskArray::power_at /
@@ -198,38 +167,37 @@ struct PlanScratch {
 class FlatArrayPower final : public power::PowerSource {
  public:
   FlatArrayPower(const ArrayConfig& config, power::PowerTimeline& enclosure,
-                 std::vector<std::unique_ptr<Lane>>& lanes)
+                 std::vector<Lane>& lanes)
       : config_(config), enclosure_(enclosure), lanes_(lanes) {}
 
   std::string name() const override { return config_.name; }
 
   Watts power_at(Seconds t) const override {
     Watts total = enclosure_.power_at(t);
-    for (const auto& lane : lanes_) total += lane->timeline.power_at(t);
+    for (const auto& lane : lanes_) total += lane.timeline.power_at(t);
     return total * (1.0 + config_.psu_overhead_fraction);
   }
 
   Joules energy_until(Seconds t) override {
     Joules total = enclosure_.energy_until(t);
-    for (auto& lane : lanes_) total += lane->timeline.energy_until(t);
+    for (auto& lane : lanes_) total += lane.timeline.energy_until(t);
     return total * (1.0 + config_.psu_overhead_fraction);
   }
 
  private:
   const ArrayConfig& config_;
   power::PowerTimeline& enclosure_;
-  std::vector<std::unique_ptr<Lane>>& lanes_;
+  std::vector<Lane>& lanes_;
 };
 
 }  // namespace
 
 /// The kernel proper. Friend of ReplayEngine: it drives the engine's
 /// monitor and replay counters so assemble_report works unchanged.
-class ShardedReplayKernel {
+class FlatReplayKernel {
  public:
-  ShardedReplayKernel(ReplayEngine& engine, const trace::TraceSource& source,
-                      const ArrayConfig& config,
-                      const ShardedReplayOptions& opts)
+  FlatReplayKernel(ReplayEngine& engine, const trace::TraceSource& source,
+                   const ArrayConfig& config, int failed_disk)
       : engine_(engine),
         source_(source),
         config_(config),
@@ -241,10 +209,7 @@ class ShardedReplayKernel {
                       : config.ssd.capacity),
         hdd_(config.kind == storage::DiskKind::kHdd),
         enclosure_(config.enclosure_base_watts),
-        power_(config, enclosure_, lanes_),
-        ssim_(std::max<std::size_t>(
-            1, std::min(opts.shards, config.disk_count))),
-        plan_block_(std::max<std::size_t>(1, opts.plan_block)) {
+        power_(config, enclosure_, lanes_) {
     // Mirror the model constructors' validation.
     if (hdd_ && (config.hdd.cylinders == 0 || config.hdd.capacity == 0)) {
       throw std::invalid_argument(
@@ -255,64 +220,35 @@ class ShardedReplayKernel {
       throw std::invalid_argument(
           "SsdModel: capacity, channels and stripe must be > 0");
     }
-    if (opts.failed_disk >= 0) {
+    if (failed_disk >= 0) {
       if (level_ != storage::RaidLevel::kRaid5) {
         throw std::logic_error("fail_disk: degraded mode needs RAID-5");
       }
-      if (static_cast<std::size_t>(opts.failed_disk) >= config.disk_count) {
+      if (static_cast<std::size_t>(failed_disk) >= config.disk_count) {
         throw std::out_of_range("fail_disk: no such member");
       }
-      failed_disk_ = opts.failed_disk;
+      failed_disk_ = failed_disk;
     }
     if (hdd_) hdd_geom_ = storage::derive_hdd_geometry(config.hdd);
     max_merge_bytes_ = geometry_.stripe_unit * geometry_.data_disks();
     ssd_channels_ = config.ssd.channels;
-
-    const std::size_t n_shards = ssim_.shard_count();
-    int planners = opts.planner_threads;
-    if (planners < 0) {
-      const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-      planners = static_cast<int>(
-          std::min<std::size_t>(n_shards - 1, hw - 1));
-    }
-    planner_count_ = std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(planners, 0)), config.disk_count);
 
     // Member seeds come from the same seeder stream as DiskArray's ctor.
     util::Rng seeder(config.seed);
     lanes_.reserve(config.disk_count);
     const Watts idle =
         hdd_ ? config.hdd.idle_watts : config.ssd.idle_watts;
-    // The block-pointer table is fixed-size so the planner thread can read
-    // it without synchronisation (only block *contents* are handed off).
-    // 4 Ki blocks = 16 Mi child ops per disk — far beyond any replay this
-    // tool runs, and a hard length_error beats silent unbounded growth.
-    // Kept small: the table is allocated and zeroed per replay, and a
-    // gratuitously large one costs real page-fault time every engine
-    // construction.
-    const std::size_t max_blocks = 1 << 12;
     for (std::size_t d = 0; d < config.disk_count; ++d) {
-      auto lane = std::make_unique<Lane>(idle);
-      lane->shard = static_cast<std::uint32_t>(d % n_shards);
-      if (planner_count_ > 0) {
-        lane->worker = static_cast<std::uint32_t>(d % planner_count_);
-      }
-      lane->rng = util::Rng(seeder.next());
-      lane->log.init(max_blocks);
-      lanes_.push_back(std::move(lane));
+      lanes_.emplace_back(idle);
+      lanes_.back().rng = util::Rng(seeder.next());
     }
-    coord_scratch_.init(plan_block_);
-    dirty_.reserve(config.disk_count);
     extents_.reserve(16);
-    rw_reads_.reserve(16);
-    rw_writes_.reserve(16);
-    row_issues_.reserve(8);
     scratch_batch_.reserve(64);
     batch_.reserve(64);
   }
 
   ReplayReport run() {
-    TRACER_SPAN("replay.sharded.run");
+    TRACER_SPAN("replay.flat.run");
     engine_.monitor_.reset();
     engine_.packages_in_flight_ = 0;
     engine_.packages_submitted_ = 0;
@@ -337,7 +273,7 @@ class ShardedReplayKernel {
           "ReplayEngine: warmup_window must be shorter than the replayed "
           "window");
     }
-    warm_end_ = ssim_.now() + engine_.options_.warmup_window;
+    warm_end_ = sim_.now() + engine_.options_.warmup_window;
 
     power::PowerAnalyzer analyzer(engine_.options_.sampling_cycle,
                                   engine_.options_.sensor,
@@ -345,68 +281,57 @@ class ShardedReplayKernel {
     analyzer.add_channel(power_);
     analyzer_ = &analyzer;
 
-    // Same global-sequence assignment order as the classic kernel. Without
+    // Same sequence-number assignment order as the classic kernel. Without
     // warm-up: the sampler's first tick takes seq 0, bunch 0 takes seq 1.
     // With warm-up the classic kernel schedules the analyzer-start event
     // first, so here kEvStartMeasure takes seq 0.
     if (engine_.options_.warmup_window > 0.0) {
-      ssim_.schedule(0, warm_end_, kEvStartMeasure);
+      sim_.schedule(warm_end_, kEvStartMeasure);
     } else {
-      analyzer.start(ssim_.now());
+      analyzer.start(sim_.now());
     }
-    ssim_.schedule(0, warm_end_ + engine_.options_.sampling_cycle,
-                   kEvSampler);
+    sim_.schedule(warm_end_ + engine_.options_.sampling_cycle, kEvSampler);
     const std::size_t per_disk =
         hdd_ ? 2 : config_.ssd.channels + 1;
-    const std::size_t disks_per_shard =
-        (config_.disk_count + ssim_.shard_count() - 1) / ssim_.shard_count();
-    ssim_.reserve(8 + disks_per_shard * per_disk);
+    sim_.reserve(8 + config_.disk_count * per_disk);
     schedule_bunch(0);
 
-    start_workers();
-    sim::ShardEvent ev;
-    try {
-      while (ssim_.pop(ev)) {
-        switch (ev.kind) {
-          case kEvBunch:
-            on_bunch(static_cast<std::size_t>(ev.b));
-            break;
-          case kEvSampler:
-            on_sampler(ev.time);
-            break;
-          case kEvDispatch:
-            on_dispatch();
-            break;
-          case kEvDegenerate:
-            child_done(static_cast<std::uint32_t>(ev.b));
-            break;
-          case kEvHddDone:
-            on_hdd_done(ev.a, ev.b);
-            break;
-          case kEvSsdDone:
-            on_ssd_done(ev.a, ev.b);
-            break;
-          case kEvStartMeasure:
-            analyzer_->start(ev.time);
-            break;
-          default:
-            throw std::logic_error("replay_sharded: unknown event kind");
-        }
-        flush_dirty();
+    sim::FlatEvent ev;
+    while (sim_.pop(ev)) {
+      switch (ev.kind) {
+        case kEvBunch:
+          on_bunch(static_cast<std::size_t>(ev.b));
+          break;
+        case kEvSampler:
+          on_sampler(ev.time);
+          break;
+        case kEvDispatch:
+          on_dispatch();
+          break;
+        case kEvDegenerate:
+          child_done(static_cast<std::uint32_t>(ev.b));
+          break;
+        case kEvHddDone:
+          on_hdd_done(ev.a, ev.b);
+          break;
+        case kEvSsdDone:
+          on_ssd_done(ev.a, ev.b);
+          break;
+        case kEvStartMeasure:
+          analyzer_->start(ev.time);
+          break;
+        default:
+          throw std::logic_error("replay_flat: unknown event kind");
       }
-    } catch (...) {
-      stop_workers();
-      throw;
     }
-    stop_workers();
 
-    const Seconds end = ssim_.now();
+    const Seconds end = sim_.now();
     analyzer.sample_at(end);
     analyzer_ = nullptr;
 
     ReplayReport report = engine_.assemble_report(source_, analyzer, end, 0);
-    report.events_dispatched = ssim_.events_dispatched();
-    report.late_schedules = ssim_.late_schedule_count();
+    report.events_dispatched = sim_.events_dispatched();
+    report.late_schedules = sim_.late_schedule_count();
     publish_obs();
     return report;
   }
@@ -428,13 +353,13 @@ class ShardedReplayKernel {
       engine_.trace_exhausted_ = true;
       return;
     }
-    ssim_.schedule(0, at, kEvBunch, 0, index);
+    sim_.schedule(at, kEvBunch, 0, index);
   }
 
   void on_bunch(std::size_t index) {
     // Same submit-time warm-up classification as the classic kernel's
     // schedule_bunch.
-    const bool measured = !(ssim_.now() < warm_end_);
+    const bool measured = !(sim_.now() < warm_end_);
     if (measured) {
       ++engine_.bunches_submitted_;
     } else {
@@ -479,7 +404,7 @@ class ShardedReplayKernel {
       engine_.options_.on_cycle(snapshot);
     }
     if (!engine_.trace_exhausted_ || engine_.packages_in_flight_ > 0) {
-      ssim_.schedule(0, at + engine_.options_.sampling_cycle, kEvSampler);
+      sim_.schedule(at + engine_.options_.sampling_cycle, kEvSampler);
     }
   }
 
@@ -513,7 +438,6 @@ class ShardedReplayKernel {
   };
 
   struct RowPhase {
-    std::uint32_t row = 0;
     std::uint32_t reads_pending = 0;
     std::vector<Deferred> writes;
   };
@@ -537,11 +461,10 @@ class ShardedReplayKernel {
     if (sector * kSectorSize + bytes > geometry_.capacity()) {
       throw std::out_of_range("RaidController: request beyond capacity");
     }
-    batch_.push_back(Waiting{id, sector, bytes, op, ssim_.now()});
+    batch_.push_back(Waiting{id, sector, bytes, op, sim_.now()});
     if (!dispatch_scheduled_) {
       dispatch_scheduled_ = true;
-      ssim_.schedule(0, ssim_.now() + config_.controller_overhead,
-                     kEvDispatch);
+      sim_.schedule(sim_.now() + config_.controller_overhead, kEvDispatch);
     }
   }
 
@@ -614,13 +537,6 @@ class ShardedReplayKernel {
     return phase;
   }
 
-  RowPhase& find_row(FlatTxn& txn, std::uint32_t row) {
-    for (std::uint32_t i = 0; i < txn.rows_used; ++i) {
-      if (txn.rows[i].row == row) return txn.rows[i];
-    }
-    throw std::logic_error("replay_sharded: row phase not found");
-  }
-
   void execute(std::size_t begin, std::size_t end) {
     const std::uint32_t t = alloc_txn();
     FlatTxn& txn = txns_[t];
@@ -659,12 +575,6 @@ class ShardedReplayKernel {
     }
   }
 
-  struct RowIssue {
-    std::uint32_t row = 0;
-    std::size_t reads_begin = 0, reads_end = 0;
-    std::size_t writes_begin = 0, writes_end = 0;
-  };
-
   void issue_write(std::uint32_t t, Sector sector, Bytes bytes) {
     geometry_.map_into(sector * kSectorSize, bytes, extents_);
 
@@ -677,130 +587,47 @@ class ShardedReplayKernel {
       return;
     }
 
-    // RAID-5: group extents per stripe row (map_into emits rows in
-    // non-decreasing order, so groups are contiguous runs) and pick
-    // full-stripe vs RMW per row — the same plan RaidController::issue_write
-    // builds through its std::maps, including the degraded-mode variants.
-    rw_reads_.clear();
-    rw_writes_.clear();
-    row_issues_.clear();
-    const Bytes full_row = geometry_.stripe_unit * geometry_.data_disks();
-    std::size_t gb = 0;
-    while (gb < extents_.size()) {
-      std::size_t ge = gb + 1;
-      while (ge < extents_.size() && extents_[ge].row == extents_[gb].row) {
-        ++ge;
-      }
-      const std::uint64_t row = extents_[gb].row;
-      Bytes row_bytes = 0;
-      Bytes min_offset = ~0ULL;
-      Bytes max_end = 0;
-      for (std::size_t i = gb; i < ge; ++i) {
-        row_bytes += extents_[i].bytes;
-        min_offset = std::min(min_offset, extents_[i].offset_in_unit);
-        max_end =
-            std::max(max_end, extents_[i].offset_in_unit + extents_[i].bytes);
-      }
-      RowIssue issue;
-      issue.row = static_cast<std::uint32_t>(row);
-      issue.reads_begin = rw_reads_.size();
-      issue.writes_begin = rw_writes_.size();
-      const std::size_t pd = geometry_.parity_disk(row);
-      const auto parity =
-          geometry_.parity_extent(row, min_offset, max_end - min_offset);
-
-      if (row_bytes == full_row) {
-        // Full-stripe write: parity computed in-core, no reads.
-        for (std::size_t i = gb; i < ge; ++i) {
-          if (!disk_failed(extents_[i].disk)) {
-            rw_writes_.push_back(extents_[i]);
-          }
-        }
-        const auto full_parity =
-            geometry_.parity_extent(row, 0, geometry_.stripe_unit);
-        if (!disk_failed(pd)) rw_writes_.push_back(full_parity);
-      } else if (disk_failed(pd)) {
-        // Parity member is gone: data writes land directly.
-        for (std::size_t i = gb; i < ge; ++i) {
-          rw_writes_.push_back(extents_[i]);
-        }
-      } else {
-        bool has_failed_extent = false;
-        for (std::size_t i = gb; i < ge; ++i) {
-          if (disk_failed(extents_[i].disk)) has_failed_extent = true;
-        }
-        if (has_failed_extent) {
-          // Reconstruct-write: recompute parity from surviving data units.
-          for (std::size_t d = 0; d < config_.disk_count; ++d) {
-            if (disk_failed(d) || d == pd) continue;
-            auto read_extent = parity;  // same row-local range
-            read_extent.disk = d;
-            rw_reads_.push_back(read_extent);
-          }
-          for (std::size_t i = gb; i < ge; ++i) {
-            if (!disk_failed(extents_[i].disk)) {
-              rw_writes_.push_back(extents_[i]);
-            }
-          }
-          rw_writes_.push_back(parity);
-        } else {
-          // Classic read-modify-write.
-          for (std::size_t i = gb; i < ge; ++i) {
-            rw_reads_.push_back(extents_[i]);
-          }
-          rw_reads_.push_back(parity);
-          for (std::size_t i = gb; i < ge; ++i) {
-            rw_writes_.push_back(extents_[i]);
-          }
-          rw_writes_.push_back(parity);
-        }
-      }
-      issue.reads_end = rw_reads_.size();
-      issue.writes_end = rw_writes_.size();
-      row_issues_.push_back(issue);
-      gb = ge;
-    }
-
-    const std::size_t total = rw_reads_.size() + rw_writes_.size();
+    storage::plan_raid5_write(geometry_, extents_, failed_disk_, plan_);
+    const std::size_t total = plan_.reads.size() + plan_.writes.size();
     txns_[t].pending = total;
     if (total == 0) {
-      // Degenerate degraded corner: nothing physical to do.
+      // Degenerate corner: nothing physical to do.
       txns_[t].pending = 1;
-      ssim_.schedule(0, ssim_.now(), kEvDegenerate, 0, t);
+      sim_.schedule(sim_.now(), kEvDegenerate, 0, t);
       return;
     }
 
-    for (const RowIssue& ri : row_issues_) {
-      if (ri.reads_end == ri.reads_begin) {
-        for (std::size_t w = ri.writes_begin; w < ri.writes_end; ++w) {
-          const auto& extent = rw_writes_[w];
+    for (const storage::RowWritePlan& row : plan_.rows) {
+      if (row.reads_end == row.reads_begin) {
+        for (std::size_t w = row.writes_begin; w < row.writes_end; ++w) {
+          const auto& extent = plan_.writes[w];
           append_child(extent.disk, extent.sector, extent.bytes, true, t, 0,
                        0);
         }
         continue;
       }
-      RowPhase& phase = add_row(txns_[t]);
-      phase.row = ri.row;
+      FlatTxn& txn = txns_[t];
+      const std::uint32_t phase_index = txn.rows_used;
+      RowPhase& phase = add_row(txn);
       phase.reads_pending =
-          static_cast<std::uint32_t>(ri.reads_end - ri.reads_begin);
-      for (std::size_t w = ri.writes_begin; w < ri.writes_end; ++w) {
-        const auto& extent = rw_writes_[w];
+          static_cast<std::uint32_t>(row.reads_end - row.reads_begin);
+      for (std::size_t w = row.writes_begin; w < row.writes_end; ++w) {
+        const auto& extent = plan_.writes[w];
         phase.writes.push_back(
             Deferred{static_cast<std::uint32_t>(extent.disk), extent.sector,
                      static_cast<std::uint32_t>(extent.bytes)});
       }
-      for (std::size_t r = ri.reads_begin; r < ri.reads_end; ++r) {
-        const auto& extent = rw_reads_[r];
+      for (std::size_t r = row.reads_begin; r < row.reads_end; ++r) {
+        const auto& extent = plan_.reads[r];
         append_child(extent.disk, extent.sector, extent.bytes, false, t, 1,
-                     ri.row);
+                     phase_index);
       }
     }
   }
 
   void child_completion(const ChildOp& op) {
     if (op.row_read) {
-      FlatTxn& txn = txns_[op.txn];
-      RowPhase& phase = find_row(txn, op.row);
+      RowPhase& phase = txns_[op.txn].rows[op.row];
       if (--phase.reads_pending == 0) {
         for (const Deferred& w : phase.writes) {
           append_child(w.disk, w.sector, w.bytes, true, op.txn, 0, 0);
@@ -813,7 +640,7 @@ class ShardedReplayKernel {
   void child_done(std::uint32_t t) {
     FlatTxn& txn = txns_[t];
     if (--txn.pending != 0) return;
-    const Seconds finish = ssim_.now();
+    const Seconds finish = sim_.now();
     for (const Member& m : txn.members) {
       storage::IoCompletion completion{m.id, m.submit_time, finish, m.bytes,
                                        m.op};
@@ -835,7 +662,7 @@ class ShardedReplayKernel {
   void append_child(std::size_t disk, Sector sector, Bytes bytes, bool write,
                     std::uint32_t t, std::uint8_t row_read,
                     std::uint32_t row) {
-    Lane& lane = *lanes_[disk];
+    Lane& lane = lanes_[disk];
     ChildOp& op = lane.log.append();
     op.sector = sector;
     op.bytes = static_cast<std::uint32_t>(bytes);
@@ -847,14 +674,6 @@ class ShardedReplayKernel {
       op.used_channels = static_cast<std::uint32_t>(
           storage::ssd_channels_for(config_.ssd, bytes));
     }
-    lane.tail.store(lane.log.size(), std::memory_order_release);
-    // Inline mode plans lazily at service start (ensure_planned), so the
-    // dirty list — whose job is to batch planner-thread wakeups — would be
-    // pure overhead; with workers it hands the append off at end-of-event.
-    if (planner_count_ > 0 && !lane.dirty) {
-      lane.dirty = true;
-      dirty_.push_back(static_cast<std::uint32_t>(disk));
-    }
     if (hdd_) {
       if (!lane.busy) hdd_start_next(disk);
     } else {
@@ -863,33 +682,22 @@ class ShardedReplayKernel {
   }
 
   void hdd_start_next(std::size_t disk) {
-    Lane& lane = *lanes_[disk];
+    Lane& lane = lanes_[disk];
     if (lane.head >= lane.log.size()) return;
     lane.busy = true;
     const std::uint64_t idx = lane.head;
     ensure_planned(lane, idx);
     const ChildOp& op = lane.log.at(idx);
-    const Seconds t0 = ssim_.now();
-    // Power: voice coil during the seek, head/channel during the transfer —
-    // same expressions as HddModel::start_next.
-    const Seconds seek_begin = t0 + config_.hdd.command_overhead;
-    if (op.seek > 0.0) {
-      lane.timeline.add_pulse(seek_begin, seek_begin + op.seek,
-                              config_.hdd.seek_extra_watts);
-    }
-    const Seconds transfer_begin = seek_begin + op.seek + op.rotation;
-    Watts transfer_extra = config_.hdd.transfer_extra_watts;
-    if (op.write) transfer_extra += config_.hdd.write_extra_watts;
-    lane.timeline.add_pulse(transfer_begin, transfer_begin + op.transfer,
-                            transfer_extra);
+    const Seconds t0 = sim_.now();
+    storage::hdd_add_service_pulses(config_.hdd, lane.timeline, t0, op.seek,
+                                    op.rotation, op.transfer, op.write != 0);
     const Seconds finish = t0 + op.service;
     lane.head = idx + 1;
-    ssim_.schedule(lane.shard, finish, kEvHddDone,
-                   static_cast<std::uint32_t>(disk), idx);
+    sim_.schedule(finish, kEvHddDone, static_cast<std::uint32_t>(disk), idx);
   }
 
   void on_hdd_done(std::size_t disk, std::uint64_t idx) {
-    Lane& lane = *lanes_[disk];
+    Lane& lane = lanes_[disk];
     const ChildOp op = lane.log.at(idx);  // copy: block may be freed below
     lane.busy = false;
     // Start the next request before completing this one, so a completion
@@ -900,7 +708,7 @@ class ShardedReplayKernel {
   }
 
   void ssd_maybe_dispatch(std::size_t disk) {
-    Lane& lane = *lanes_[disk];
+    Lane& lane = lanes_[disk];
     // FIFO with head-of-line blocking until enough channels free, exactly
     // SsdModel::maybe_dispatch. `used_channels` is written at append time,
     // so peeking it needs no plan.
@@ -911,22 +719,19 @@ class ShardedReplayKernel {
       ensure_planned(lane, idx);
       const ChildOp& op = lane.log.at(idx);
       lane.busy_channels += op.used_channels;
-      const Seconds t0 = ssim_.now();
-      const Watts extra = (op.write ? config_.ssd.write_extra_watts
-                                    : config_.ssd.read_extra_watts) *
-                          static_cast<double>(op.used_channels) /
-                          static_cast<double>(config_.ssd.channels);
-      lane.timeline.add_pulse(t0 + config_.ssd.command_overhead,
-                              t0 + op.service, extra);
+      const Seconds t0 = sim_.now();
+      storage::ssd_add_service_pulse(config_.ssd, lane.timeline, t0,
+                                     op.service, op.used_channels,
+                                     op.write != 0);
       const Seconds finish = t0 + op.service;
       lane.head = idx + 1;
-      ssim_.schedule(lane.shard, finish, kEvSsdDone,
-                     static_cast<std::uint32_t>(disk), idx);
+      sim_.schedule(finish, kEvSsdDone, static_cast<std::uint32_t>(disk),
+                     idx);
     }
   }
 
   void on_ssd_done(std::size_t disk, std::uint64_t idx) {
-    Lane& lane = *lanes_[disk];
+    Lane& lane = lanes_[disk];
     const ChildOp op = lane.log.at(idx);  // copy: block may be freed below
     lane.busy_channels -= op.used_channels;
     ssd_maybe_dispatch(disk);
@@ -935,27 +740,30 @@ class ShardedReplayKernel {
   }
 
   // ---------------------------------------------------------------------
-  // Batched SoA planning (mech_batch) — inline or on worker threads
+  // Batched SoA planning (mech_batch)
   // ---------------------------------------------------------------------
 
-  void plan_lane(Lane& lane, PlanScratch& scratch) {
-    const std::uint64_t tail = lane.tail.load(std::memory_order_acquire);
-    std::uint64_t pos = lane.planner_pos;
+  /// Plan every appended-but-unplanned op of `lane` in kPlanBlock batches,
+  /// in append order, when service reaches op `idx`.
+  void ensure_planned(Lane& lane, std::uint64_t idx) {
+    if (lane.planned > idx) return;
+    const std::uint64_t tail = lane.log.size();
+    std::uint64_t pos = lane.planned;
     while (pos < tail) {
       const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(tail - pos, plan_block_));
+          std::min<std::uint64_t>(tail - pos, kPlanBlock));
       for (std::size_t i = 0; i < n; ++i) {
         const ChildOp& op = lane.log.at(pos + i);
-        scratch.sectors[i] = op.sector;
-        scratch.bytes[i] = op.bytes;
-        scratch.ops[i] = op.write;
+        scratch_.sectors[i] = op.sector;
+        scratch_.bytes[i] = op.bytes;
+        scratch_.ops[i] = op.write;
       }
       if (hdd_) {
         storage::hdd_plan_batch(config_.hdd, hdd_geom_, lane.hmech, lane.rng,
-                                scratch.sectors.data(), scratch.bytes.data(),
-                                n, scratch.hplans.data());
+                                scratch_.sectors.data(), scratch_.bytes.data(),
+                                n, scratch_.hplans.data());
         for (std::size_t i = 0; i < n; ++i) {
-          const auto& plan = scratch.hplans[i];
+          const auto& plan = scratch_.hplans[i];
           ChildOp& op = lane.log.at(pos + i);
           op.seek = plan.seek;
           op.rotation = plan.rotation;
@@ -965,133 +773,22 @@ class ShardedReplayKernel {
         }
       } else {
         storage::ssd_plan_batch(config_.ssd, lane.smech,
-                                scratch.sectors.data(), scratch.bytes.data(),
-                                scratch.ops.data(), n, scratch.splans.data());
+                                scratch_.sectors.data(), scratch_.bytes.data(),
+                                scratch_.ops.data(), n, scratch_.splans.data());
         for (std::size_t i = 0; i < n; ++i) {
-          const auto& plan = scratch.splans[i];
+          const auto& plan = scratch_.splans[i];
           ChildOp& op = lane.log.at(pos + i);
-          // used_channels stays coordinator-owned; the planner writes only
-          // the latency fields.
+          // used_channels was set at append time; only latencies come here.
           op.transfer = plan.transfer;
           op.service = plan.service;
           lane.sequential_hits += plan.sequential ? 1 : 0;
         }
       }
       pos += n;
-      lane.planned.store(pos, std::memory_order_release);
       ++lane.plan_batches;
       lane.planned_ops += n;
     }
-    lane.planner_pos = pos;
-  }
-
-  void ensure_planned(Lane& lane, std::uint64_t idx) {
-    if (lane.planned.load(std::memory_order_acquire) > idx) return;
-    if (planner_count_ == 0) {
-      plan_lane(lane, coord_scratch_);
-      return;
-    }
-    Worker& worker = *workers_[lane.worker];
-    {
-      util::MutexLock lock(worker.mu);
-      worker.work = true;
-    }
-    worker.cv.notify_one();
-    ++plan_stalls_;
-    while (lane.planned.load(std::memory_order_acquire) <= idx) {
-      std::this_thread::yield();
-    }
-  }
-
-  /// End-of-event epilogue: hand freshly appended ops to their planner
-  /// (inline batch-plan, or one wakeup per worker) so plans are usually
-  /// ready long before service start.
-  void flush_dirty() {
-    if (dirty_.empty()) return;
-    if (planner_count_ == 0) {
-      for (const std::uint32_t d : dirty_) {
-        Lane& lane = *lanes_[d];
-        lane.dirty = false;
-        plan_lane(lane, coord_scratch_);
-      }
-      dirty_.clear();
-      return;
-    }
-    for (const std::uint32_t d : dirty_) {
-      Lane& lane = *lanes_[d];
-      lane.dirty = false;
-      Worker& worker = *workers_[lane.worker];
-      if (!worker.flagged) {
-        worker.flagged = true;
-        flagged_workers_.push_back(lane.worker);
-      }
-    }
-    dirty_.clear();
-    for (const std::uint32_t w : flagged_workers_) {
-      Worker& worker = *workers_[w];
-      worker.flagged = false;
-      {
-        util::MutexLock lock(worker.mu);
-        worker.work = true;
-      }
-      worker.cv.notify_one();
-    }
-    flagged_workers_.clear();
-  }
-
-  struct Worker {
-    util::Mutex mu;
-    util::CondVar cv;
-    bool work TRACER_GUARDED_BY(mu) = false;
-    bool stop TRACER_GUARDED_BY(mu) = false;
-    bool flagged = false;  ///< coordinator-only dedup flag for wakeups
-    std::vector<std::uint32_t> lanes;  ///< owned disks (set before start)
-    PlanScratch scratch;
-    std::thread thread;
-  };
-
-  void start_workers() {
-    if (planner_count_ == 0) return;
-    workers_.clear();
-    for (std::size_t w = 0; w < planner_count_; ++w) {
-      workers_.push_back(std::make_unique<Worker>());
-      workers_.back()->scratch.init(plan_block_);
-    }
-    for (std::size_t d = 0; d < lanes_.size(); ++d) {
-      workers_[lanes_[d]->worker]->lanes.push_back(
-          static_cast<std::uint32_t>(d));
-    }
-    flagged_workers_.reserve(planner_count_);
-    for (auto& worker : workers_) {
-      Worker* w = worker.get();
-      w->thread = std::thread([this, w] { worker_main(*w); });
-    }
-  }
-
-  void worker_main(Worker& worker) {
-    for (;;) {
-      {
-        util::MutexLock lock(worker.mu);
-        while (!worker.work && !worker.stop) worker.cv.wait(lock);
-        if (worker.stop && !worker.work) return;
-        worker.work = false;
-      }
-      for (const std::uint32_t d : worker.lanes) {
-        plan_lane(*lanes_[d], worker.scratch);
-      }
-    }
-  }
-
-  void stop_workers() {
-    for (auto& worker : workers_) {
-      if (!worker->thread.joinable()) continue;
-      {
-        util::MutexLock lock(worker->mu);
-        worker->stop = true;
-      }
-      worker->cv.notify_one();
-      worker->thread.join();
-    }
+    lane.planned = pos;
   }
 
   void publish_obs() {
@@ -1109,33 +806,17 @@ class ShardedReplayKernel {
     l_bunches.add(engine_.bunches_submitted_ + engine_.warmup_bunches_);
     l_packages.add(engine_.packages_submitted_ + engine_.warmup_packages_);
     l_warmup.add(engine_.warmup_packages_);
-    l_events.add(ssim_.events_dispatched());
-    l_late.add(ssim_.late_schedule_count());
+    l_events.add(sim_.events_dispatched());
+    l_late.add(sim_.late_schedule_count());
     l_depth.update_max(static_cast<double>(engine_.max_in_flight_));
 
-    static auto& runs = reg.counter("replay.shard.runs");
-    static auto& planned = reg.counter("replay.shard.planned_ops");
-    static auto& batches = reg.counter("replay.shard.plan_batches");
-    static auto& seq_hits = reg.counter("replay.shard.sequential_hits");
-    static auto& stalls = reg.counter("replay.shard.plan_stalls");
-    runs.increment();
-    std::uint64_t total_planned = 0, total_batches = 0, total_seq = 0;
-    std::vector<std::uint64_t> per_shard(ssim_.shard_count(), 0);
-    for (const auto& lane : lanes_) {
-      total_planned += lane->planned_ops;
-      total_batches += lane->plan_batches;
-      total_seq += lane->sequential_hits;
-      per_shard[lane->shard] += lane->planned_ops;
-    }
-    planned.add(total_planned);
-    batches.add(total_batches);
-    seq_hits.add(total_seq);
-    stalls.add(plan_stalls_);
-    // Per-shard breakdown (dynamic names, bumped once per replay): feeds
-    // the CI bench-smoke snapshot so shard balance is visible per run.
-    for (std::size_t s = 0; s < per_shard.size(); ++s) {
-      reg.counter("replay.shard." + std::to_string(s) + ".ops")
-          .add(per_shard[s]);
+    static auto& planned = reg.counter("replay.flat.planned_ops");
+    static auto& batches = reg.counter("replay.flat.plan_batches");
+    static auto& seq_hits = reg.counter("replay.flat.sequential_hits");
+    for (const Lane& lane : lanes_) {
+      planned.add(lane.planned_ops);
+      batches.add(lane.plan_batches);
+      seq_hits.add(lane.sequential_hits);
     }
   }
 
@@ -1151,9 +832,9 @@ class ShardedReplayKernel {
   Bytes max_merge_bytes_ = 0;
 
   power::PowerTimeline enclosure_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<Lane> lanes_;
   FlatArrayPower power_;
-  sim::ShardedSimulator ssim_;
+  sim::FlatSimulator sim_;
   power::PowerAnalyzer* analyzer_ = nullptr;
 
   // Controller state
@@ -1163,18 +844,8 @@ class ShardedReplayKernel {
   std::vector<FlatTxn> txns_;
   std::vector<std::uint32_t> free_txns_;
   std::vector<storage::RaidGeometry::Extent> extents_;
-  std::vector<storage::RaidGeometry::Extent> rw_reads_;
-  std::vector<storage::RaidGeometry::Extent> rw_writes_;
-  std::vector<RowIssue> row_issues_;
-
-  // Planner state
-  std::size_t plan_block_ = 256;
-  std::size_t planner_count_ = 0;
-  PlanScratch coord_scratch_;
-  std::vector<std::uint32_t> dirty_;
-  std::vector<std::uint32_t> flagged_workers_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::uint64_t plan_stalls_ = 0;
+  storage::Raid5WritePlan plan_;
+  PlanScratch scratch_;
 
   // Sampler state
   std::uint64_t last_completions_ = 0;
@@ -1184,9 +855,9 @@ class ShardedReplayKernel {
   Seconds warm_end_ = 0.0;
 };
 
-ReplayReport ReplayEngine::replay_sharded(const trace::TraceSource& source,
-                                          const storage::ArrayConfig& config,
-                                          const ShardedReplayOptions& sharded) {
+ReplayReport ReplayEngine::replay_flat(const trace::TraceSource& source,
+                                       const storage::ArrayConfig& config,
+                                       int failed_disk) {
   if (source.empty()) {
     throw std::invalid_argument("ReplayEngine: empty trace");
   }
@@ -1200,12 +871,11 @@ ReplayReport ReplayEngine::replay_sharded(const trace::TraceSource& source,
   // kernel stays the media-direct fast path.
   if (config.cache.enabled) {
     static auto& cache_fallbacks =
-        obs::Registry::global().counter("replay.shard.cache_fallbacks");
+        obs::Registry::global().counter("replay.flat.cache_fallbacks");
     cache_fallbacks.increment();
     storage::DiskArray array(sim_, config);
-    if (sharded.failed_disk >= 0) {
-      array.controller().fail_disk(
-          static_cast<std::size_t>(sharded.failed_disk));
+    if (failed_disk >= 0) {
+      array.controller().fail_disk(static_cast<std::size_t>(failed_disk));
     }
     storage::CacheTier cache(sim_, config.cache, array);
     return replay(source, cache);
@@ -1223,31 +893,30 @@ ReplayReport ReplayEngine::replay_sharded(const trace::TraceSource& source,
       config.stripe_unit == 0 || disk_cap / config.stripe_unit > 0xffffffffULL;
   if (look_hdd || config.stripe_unit > 0xffffffffULL || rows_overflow) {
     static auto& fallbacks =
-        obs::Registry::global().counter("replay.shard.fallbacks");
+        obs::Registry::global().counter("replay.flat.fallbacks");
     fallbacks.increment();
     storage::DiskArray array(sim_, config);
-    if (sharded.failed_disk >= 0) {
-      array.controller().fail_disk(
-          static_cast<std::size_t>(sharded.failed_disk));
+    if (failed_disk >= 0) {
+      array.controller().fail_disk(static_cast<std::size_t>(failed_disk));
     }
     return replay(source, array);
   }
-  ShardedReplayKernel kernel(*this, source, config, sharded);
+  FlatReplayKernel kernel(*this, source, config, failed_disk);
   return kernel.run();
 }
 
-ReplayReport ReplayEngine::replay_sharded(const trace::TraceView& view,
-                                          const storage::ArrayConfig& config,
-                                          const ShardedReplayOptions& sharded) {
+ReplayReport ReplayEngine::replay_flat(const trace::TraceView& view,
+                                       const storage::ArrayConfig& config,
+                                       int failed_disk) {
   const trace::ViewSource source(view);
-  return replay_sharded(static_cast<const trace::TraceSource&>(source),
-                        config, sharded);
+  return replay_flat(static_cast<const trace::TraceSource&>(source), config,
+                     failed_disk);
 }
 
-ReplayReport ReplayEngine::replay_sharded(const trace::Trace& trace,
-                                          const storage::ArrayConfig& config,
-                                          const ShardedReplayOptions& sharded) {
-  return replay_sharded(trace::TraceView::borrowed(trace), config, sharded);
+ReplayReport ReplayEngine::replay_flat(const trace::Trace& trace,
+                                       const storage::ArrayConfig& config,
+                                       int failed_disk) {
+  return replay_flat(trace::TraceView::borrowed(trace), config, failed_disk);
 }
 
 }  // namespace tracer::core

@@ -104,17 +104,8 @@ void HddModel::start_next() {
   const HddServicePlan plan =
       hdd_plan_service(params_, geom_, mech_, rng_, req.sector, req.bytes);
 
-  // Power: voice coil during the seek, head/channel during the transfer.
-  const Seconds seek_begin = t0 + params_.command_overhead;
-  if (plan.seek > 0.0) {
-    timeline_.add_pulse(seek_begin, seek_begin + plan.seek,
-                        params_.seek_extra_watts);
-  }
-  const Seconds transfer_begin = seek_begin + plan.seek + plan.rotation;
-  Watts transfer_extra = params_.transfer_extra_watts;
-  if (req.op == OpType::kWrite) transfer_extra += params_.write_extra_watts;
-  timeline_.add_pulse(transfer_begin, transfer_begin + plan.transfer,
-                      transfer_extra);
+  hdd_add_service_pulses(params_, timeline_, t0, plan.seek, plan.rotation,
+                         plan.transfer, req.op == OpType::kWrite);
 
   if (plan.sequential) ++sequential_hits_;
   busy_time_ += plan.service;

@@ -164,4 +164,30 @@ void ssd_plan_batch(const SsdParams& params, SsdMechState& state,
   }
 }
 
+void hdd_add_service_pulses(const HddParams& params,
+                            power::PowerTimeline& timeline, Seconds t0,
+                            Seconds seek, Seconds rotation, Seconds transfer,
+                            bool write) {
+  const Seconds seek_begin = t0 + params.command_overhead;
+  if (seek > 0.0) {
+    timeline.add_pulse(seek_begin, seek_begin + seek, params.seek_extra_watts);
+  }
+  const Seconds transfer_begin = seek_begin + seek + rotation;
+  Watts transfer_extra = params.transfer_extra_watts;
+  if (write) transfer_extra += params.write_extra_watts;
+  timeline.add_pulse(transfer_begin, transfer_begin + transfer,
+                     transfer_extra);
+}
+
+void ssd_add_service_pulse(const SsdParams& params,
+                           power::PowerTimeline& timeline, Seconds t0,
+                           Seconds service, std::size_t used_channels,
+                           bool write) {
+  const Watts extra =
+      (write ? params.write_extra_watts : params.read_extra_watts) *
+      static_cast<double>(used_channels) /
+      static_cast<double>(params.channels);
+  timeline.add_pulse(t0 + params.command_overhead, t0 + service, extra);
+}
+
 }  // namespace tracer::storage

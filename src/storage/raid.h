@@ -53,13 +53,52 @@ struct RaidGeometry {
   /// Allocation-free variant for hot paths: clears `out` and fills it with
   /// exactly what map() would return, reusing the vector's capacity. The
   /// extents' `row` fields are non-decreasing (logical order walks rows
-  /// forward), which the sharded replay kernel exploits to group rows with
-  /// a linear scan instead of a std::map.
+  /// forward), which plan_raid5_write exploits to group rows with a linear
+  /// scan instead of a std::map.
   void map_into(Bytes logical_byte, Bytes bytes, std::vector<Extent>& out) const;
 
   /// Disk-local sector of the parity unit in `row`, plus its disk.
   Extent parity_extent(std::uint64_t row, Bytes offset_in_unit,
                        Bytes bytes) const;
 };
+
+/// The write path one RAID-5 stripe row takes.
+enum class RowWriteKind : std::uint8_t {
+  kFullStripe,        ///< every data unit written: parity in-core, no reads
+  kParityLost,        ///< partial row, parity member failed: data writes only
+  kReadModifyWrite,   ///< read old data + parity, write new data + parity
+  kReconstructWrite,  ///< a touched data member failed: read the surviving
+                      ///< data units, write the rest plus new parity
+};
+
+/// One stripe row of a Raid5WritePlan: its kind and its slices of the
+/// plan's `reads` and `writes`.
+struct RowWritePlan {
+  std::uint64_t row = 0;
+  RowWriteKind kind = RowWriteKind::kReadModifyWrite;
+  std::size_t reads_begin = 0;
+  std::size_t reads_end = 0;
+  std::size_t writes_begin = 0;
+  std::size_t writes_end = 0;
+};
+
+/// The member-disk operations of one RAID-5 write, in ascending row order.
+/// A row's writes wait for all of its phase-1 reads; a row without reads
+/// writes at once. Within a row, reads and writes keep the order in which
+/// they must be issued.
+struct Raid5WritePlan {
+  std::vector<RaidGeometry::Extent> reads;
+  std::vector<RaidGeometry::Extent> writes;
+  std::vector<RowWritePlan> rows;
+};
+
+/// Plan a RAID-5 write of `extents` — RaidGeometry::map_into's output for
+/// the request, rows non-decreasing — with member `failed_disk` failed
+/// (-1 = healthy array). Clears and fills `out`, reusing its capacity.
+/// Pure: the single home of the row plan that both RaidController and the
+/// flat replay kernel execute. Empty `extents` give an empty plan.
+void plan_raid5_write(const RaidGeometry& geometry,
+                      const std::vector<RaidGeometry::Extent>& extents,
+                      std::ptrdiff_t failed_disk, Raid5WritePlan& out);
 
 }  // namespace tracer::storage

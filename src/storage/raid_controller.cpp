@@ -13,24 +13,18 @@ struct RaidController::Transaction {
   // Original requests completing together when the merged op finishes.
   std::vector<Waiting> members;
   std::size_t pending = 0;  // children in flight
-  // Row-local RMW bookkeeping: when a row's reads finish, its writes go out.
-  struct RowPhase {
-    std::size_t reads_pending = 0;
-    std::vector<IoRequest> deferred_writes;
-    std::vector<std::size_t> deferred_disks;
-  };
-  std::map<std::uint64_t, RowPhase> rows;
+  // RAID-5 writes: when a row's reads finish, its writes go out.
+  Raid5WritePlan plan;
+  std::vector<std::size_t> row_reads_pending;  // indexed like plan.rows
 };
 
 RaidController::RaidController(sim::Simulator& sim, RaidGeometry geometry,
                                std::vector<BlockDevice*> disks,
-                               Seconds dispatch_overhead,
-                               bool merge_contiguous)
+                               Seconds dispatch_overhead)
     : BlockDevice(sim),
       geometry_(std::move(geometry)),
       disks_(std::move(disks)),
       dispatch_overhead_(dispatch_overhead),
-      merge_contiguous_(merge_contiguous),
       max_merge_bytes_(geometry_.stripe_unit * geometry_.data_disks()) {
   if (disks_.size() != geometry_.disk_count) {
     throw std::invalid_argument(
@@ -80,12 +74,8 @@ void RaidController::dispatch_batch() {
   batch_.clear();
   if (batch.empty()) return;
 
-  if (!merge_contiguous_ || batch.size() == 1) {
-    for (auto& waiting : batch) {
-      std::vector<Waiting> single;
-      single.push_back(std::move(waiting));
-      execute(std::move(single));
-    }
+  if (batch.size() == 1) {
+    execute(std::move(batch));
     return;
   }
 
@@ -204,144 +194,57 @@ void RaidController::issue_write(const std::shared_ptr<Transaction>& txn) {
     return;
   }
 
-  // RAID-5: group extents per stripe row and pick full-stripe vs RMW.
-  struct RowPlan {
-    std::vector<const RaidGeometry::Extent*> extents;
-    Bytes bytes = 0;
-    Bytes min_offset = ~0ULL;
-    Bytes max_end = 0;
-  };
-  std::map<std::uint64_t, RowPlan> row_plans;
-  for (const auto& extent : extents) {
-    RowPlan& plan = row_plans[extent.row];
-    plan.extents.push_back(&extent);
-    plan.bytes += extent.bytes;
-    plan.min_offset = std::min(plan.min_offset, extent.offset_in_unit);
-    plan.max_end =
-        std::max(plan.max_end, extent.offset_in_unit + extent.bytes);
-  }
-
-  // Plan children per row, accounting for a failed member, then count them
-  // all before issuing so completions cannot race the loop.
-  struct RowChildren {
-    std::vector<RaidGeometry::Extent> phase1_reads;
-    std::vector<RaidGeometry::Extent> writes;  // deferred iff reads exist
-  };
-  std::map<std::uint64_t, RowChildren> row_children;
-  const Bytes full_row = geometry_.stripe_unit * geometry_.data_disks();
-  auto disk_failed = [this](std::size_t disk) {
-    return failed_disk_ == static_cast<std::ptrdiff_t>(disk);
-  };
-
-  for (auto& [row, plan] : row_plans) {
-    RowChildren& children = row_children[row];
-    const std::size_t pd = geometry_.parity_disk(row);
-    const Bytes span = plan.max_end - plan.min_offset;
-    const auto parity = geometry_.parity_extent(row, plan.min_offset, span);
-
-    if (plan.bytes == full_row) {
-      // Full-stripe write: parity computed in-core, no reads. A failed
-      // member simply receives nothing.
+  Raid5WritePlan& plan = txn->plan;
+  plan_raid5_write(geometry_, extents, failed_disk_, plan);
+  for (const RowWritePlan& row : plan.rows) {
+    if (row.kind == RowWriteKind::kFullStripe) {
       ++stats_.full_stripe_writes;
-      for (const auto* extent : plan.extents) {
-        if (!disk_failed(extent->disk)) children.writes.push_back(*extent);
-      }
-      const auto full_parity =
-          geometry_.parity_extent(row, 0, geometry_.stripe_unit);
-      if (!disk_failed(pd)) children.writes.push_back(full_parity);
-      continue;
-    }
-
-    if (disk_failed(pd)) {
-      // Parity member is gone: data writes land directly, nothing to
-      // maintain until rebuild.
-      for (const auto* extent : plan.extents) {
-        children.writes.push_back(*extent);
-      }
-      continue;
-    }
-
-    const RaidGeometry::Extent* failed_extent = nullptr;
-    for (const auto* extent : plan.extents) {
-      if (disk_failed(extent->disk)) failed_extent = extent;
-    }
-
-    ++stats_.rmw_rows;
-    if (failed_extent != nullptr) {
-      // Reconstruct-write: the target unit's member is gone, so new parity
-      // must be recomputed from the surviving data units over the span.
-      for (std::size_t d = 0; d < disks_.size(); ++d) {
-        if (disk_failed(d) || d == pd) continue;
-        RaidGeometry::Extent read_extent = parity;  // same row-local range
-        read_extent.disk = d;
-        children.phase1_reads.push_back(read_extent);
-      }
-      for (const auto* extent : plan.extents) {
-        if (!disk_failed(extent->disk)) children.writes.push_back(*extent);
-      }
-      children.writes.push_back(parity);
-    } else {
-      // Classic read-modify-write.
-      for (const auto* extent : plan.extents) {
-        children.phase1_reads.push_back(*extent);
-      }
-      children.phase1_reads.push_back(parity);
-      for (const auto* extent : plan.extents) {
-        children.writes.push_back(*extent);
-      }
-      children.writes.push_back(parity);
+    } else if (row.kind != RowWriteKind::kParityLost) {
+      ++stats_.rmw_rows;
     }
   }
 
-  std::size_t total_children = 0;
-  for (auto& [row, children] : row_children) {
-    total_children += children.phase1_reads.size() + children.writes.size();
-  }
+  // Count every child before issuing so completions cannot race the loop.
+  const std::size_t total_children = plan.reads.size() + plan.writes.size();
   txn->pending = total_children;
   if (total_children == 0) {
-    // Degenerate degraded corner: nothing physical to do (e.g. the only
-    // touched data unit and the parity are both the failed member's span).
+    // Degenerate corner: nothing physical to do.
     txn->pending = 1;
     sim_.schedule_in(0.0, [this, txn] { child_done(txn); });
     return;
   }
 
-  for (auto& [row, children] : row_children) {
-    if (children.phase1_reads.empty()) {
-      stats_.child_writes += children.writes.size();
-      for (const auto& extent : children.writes) {
-        issue_child(extent.disk, extent.sector, extent.bytes, OpType::kWrite,
-                    txn);
-      }
+  txn->row_reads_pending.assign(plan.rows.size(), 0);
+  for (std::size_t r = 0; r < plan.rows.size(); ++r) {
+    const RowWritePlan& row = plan.rows[r];
+    if (row.reads_begin == row.reads_end) {
+      issue_row_writes(txn, row);
       continue;
     }
-
-    auto& phase = txn->rows[row];
-    phase.reads_pending = children.phase1_reads.size();
-    for (const auto& extent : children.writes) {
-      phase.deferred_writes.push_back(
-          IoRequest{0, extent.sector, extent.bytes, OpType::kWrite});
-      phase.deferred_disks.push_back(extent.disk);
-    }
-
-    auto on_row_read = [this, txn, row_key = row](const IoCompletion&) {
-      auto& row_phase = txn->rows[row_key];
-      if (--row_phase.reads_pending == 0) {
-        stats_.child_writes += row_phase.deferred_writes.size();
-        for (std::size_t i = 0; i < row_phase.deferred_writes.size(); ++i) {
-          const IoRequest& w = row_phase.deferred_writes[i];
-          issue_child(row_phase.deferred_disks[i], w.sector, w.bytes, w.op,
-                      txn);
-        }
+    txn->row_reads_pending[r] = row.reads_end - row.reads_begin;
+    auto on_row_read = [this, txn, r](const IoCompletion&) {
+      if (--txn->row_reads_pending[r] == 0) {
+        issue_row_writes(txn, txn->plan.rows[r]);
       }
       child_done(txn);
     };
-    stats_.child_reads += children.phase1_reads.size();
-    for (const auto& extent : children.phase1_reads) {
+    stats_.child_reads += row.reads_end - row.reads_begin;
+    for (std::size_t i = row.reads_begin; i < row.reads_end; ++i) {
+      const auto& extent = plan.reads[i];
       IoRequest read_req{next_child_id_++, extent.sector, extent.bytes,
                          OpType::kRead};
       disks_[extent.disk]->submit(read_req, on_row_read);
     }
+  }
+}
+
+void RaidController::issue_row_writes(const std::shared_ptr<Transaction>& txn,
+                                      const RowWritePlan& row) {
+  stats_.child_writes += row.writes_end - row.writes_begin;
+  for (std::size_t i = row.writes_begin; i < row.writes_end; ++i) {
+    const auto& extent = txn->plan.writes[i];
+    issue_child(extent.disk, extent.sector, extent.bytes, OpType::kWrite,
+                txn);
   }
 }
 

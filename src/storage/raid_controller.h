@@ -15,10 +15,11 @@
 //     writes only;
 //   * read-modify-write — partial rows first read old data + old parity,
 //     then write new data + new parity (the small-write penalty).
+// The per-row plan, degraded variants included, is plan_raid5_write
+// (storage/raid.h), which the flat replay kernel executes too.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -45,8 +46,7 @@ class RaidController final : public BlockDevice {
   /// batching window for merges.
   RaidController(sim::Simulator& sim, RaidGeometry geometry,
                  std::vector<BlockDevice*> disks,
-                 Seconds dispatch_overhead = 0.05e-3,
-                 bool merge_contiguous = true);
+                 Seconds dispatch_overhead = 0.05e-3);
 
   // BlockDevice
   Bytes capacity() const override { return geometry_.capacity(); }
@@ -101,6 +101,8 @@ class RaidController final : public BlockDevice {
   void execute(std::vector<Waiting> members);
   void issue_read(const std::shared_ptr<Transaction>& txn);
   void issue_write(const std::shared_ptr<Transaction>& txn);
+  void issue_row_writes(const std::shared_ptr<Transaction>& txn,
+                        const RowWritePlan& row);
   void issue_child(std::size_t disk, Sector sector, Bytes bytes, OpType op,
                    const std::shared_ptr<Transaction>& txn);
   void child_done(const std::shared_ptr<Transaction>& txn);
@@ -108,7 +110,6 @@ class RaidController final : public BlockDevice {
   RaidGeometry geometry_;
   std::vector<BlockDevice*> disks_;
   Seconds dispatch_overhead_;
-  bool merge_contiguous_;
   Bytes max_merge_bytes_;
   std::vector<Waiting> batch_;
   bool dispatch_scheduled_ = false;

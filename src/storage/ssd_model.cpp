@@ -54,13 +54,8 @@ void SsdModel::start(Pending pending) {
 
   const Seconds service = plan.service;
   const Seconds t0 = sim_.now();
-  // Active power scales with the number of busy channels.
-  const bool is_write = req.op == OpType::kWrite;
-  const Watts extra =
-      (is_write ? params_.write_extra_watts : params_.read_extra_watts) *
-      static_cast<double>(used_channels) /
-      static_cast<double>(params_.channels);
-  timeline_.add_pulse(t0 + params_.command_overhead, t0 + service, extra);
+  ssd_add_service_pulse(params_, timeline_, t0, service, used_channels,
+                        req.op == OpType::kWrite);
 
   const Seconds finish = t0 + service;
   sim_.schedule_at(finish, [this, pending = std::move(pending), finish,

@@ -296,66 +296,11 @@ TEST(ConcurrencyStress, ThreadPoolShutdownChurn) {
   EXPECT_EQ(executed.load(), 50u * 3u * 20u);
 }
 
-// Sharded replay with forced planner workers: the coordinator's append
-// (tail release-store) races the planner's batch planning (planned
-// release-store) on every lane, and a tiny plan block maximises
-// ensure_planned stalls and cv wakeups. TSan must see a clean handoff;
-// the default preset doubles this as a determinism check — worker-planned
-// results must equal inline-planned results exactly.
-TEST(ConcurrencyStress, ShardedPlannerHandoffUnderLoad) {
-  trace::Trace trace;
-  trace.device = "stress-sharded";
-  std::uint64_t state = 7;
-  for (std::size_t b = 0; b < 600; ++b) {
-    trace::Bunch bunch;
-    bunch.timestamp = static_cast<double>(b) * 0.002;
-    for (std::size_t p = 0; p < 1 + b % 3; ++p) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      bunch.packages.push_back(
-          trace::IoPackage{(state >> 16) % (1 << 20),
-                           4096 + (state >> 40) % 8 * 4096,
-                           (state >> 7) % 2 ? OpType::kRead : OpType::kWrite});
-    }
-    trace.bunches.push_back(std::move(bunch));
-  }
-
-  for (const bool ssd : {false, true}) {
-    const storage::ArrayConfig config = ssd
-                                            ? storage::ArrayConfig::ssd_testbed(4)
-                                            : storage::ArrayConfig::hdd_testbed(6);
-    core::ShardedReplayOptions inline_opts;
-    inline_opts.shards = 4;
-    inline_opts.planner_threads = 0;
-    core::ReplayEngine inline_engine;
-    const core::ReplayReport reference =
-        inline_engine.replay_sharded(trace, config, inline_opts);
-
-    for (const int workers : {1, 2}) {
-      core::ShardedReplayOptions opts;
-      opts.shards = 4;
-      opts.planner_threads = workers;
-      opts.plan_block = 4;  // forces constant coordinator/planner traffic
-      core::ReplayEngine engine;
-      const core::ReplayReport report =
-          engine.replay_sharded(trace, config, opts);
-      EXPECT_EQ(report.perf.completions, reference.perf.completions);
-      EXPECT_EQ(report.perf.avg_response_ms, reference.perf.avg_response_ms);
-      EXPECT_EQ(report.joules, reference.joules);
-      EXPECT_EQ(report.events_dispatched, reference.events_dispatched);
-      EXPECT_EQ(report.late_schedules, 0u);
-    }
-  }
-}
-
-// Two sharded replays with planner workers running simultaneously on
-// different engines: per-shard obs counters and the global registry are
-// shared, the kernels are not — nothing may bleed between them.
+// Flat-kernel replays running simultaneously on different engines: the
+// global obs registry is shared, the kernels are not — nothing may bleed
+// between them.
 TEST(ConcurrencyStress, ConcurrentShardedReplays) {
   const storage::ArrayConfig config = storage::ArrayConfig::hdd_testbed(6);
-  core::ShardedReplayOptions opts;
-  opts.shards = 3;
-  opts.planner_threads = 1;
-  opts.plan_block = 8;
 
   std::vector<core::ReplayReport> reports(4);
   {
@@ -373,7 +318,7 @@ TEST(ConcurrencyStress, ConcurrentShardedReplays) {
           trace.bunches.push_back(std::move(bunch));
         }
         core::ReplayEngine engine;
-        reports[r] = engine.replay_sharded(trace, config, opts);
+        reports[r] = engine.replay_flat(trace, config);
       });
     }
     for (auto& t : replayers) t.join();

@@ -1,19 +1,19 @@
-// Determinism suite for the sharded replay kernel (DESIGN.md §6g).
+// Determinism suite for the flat replay kernel (DESIGN.md §6g).
 //
-// The contract under test: ReplayEngine::replay_sharded produces metrics
+// The contract under test: ReplayEngine::replay_flat produces metrics
 // BIT-IDENTICAL to ReplayEngine::replay against a DiskArray built from the
-// same config — for every shard count and planner-thread count. These are
-// EXPECT_EQ comparisons on doubles, deliberately: the sharded kernel
-// replicates the classic kernel's event schedule and floating-point
-// expression shapes 1:1, so the results are the same bits, not merely
-// close.
+// same config. These are EXPECT_EQ comparisons on doubles, deliberately:
+// the flat kernel replicates the classic kernel's event schedule and
+// floating-point expression shapes 1:1, so the results are the same bits,
+// not merely close. (The suite keeps the ShardedReplay name it had when
+// the kernel still partitioned its queue into shards.)
 #include "core/replay_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "sim/sharded_simulator.h"
+#include "sim/flat_simulator.h"
 #include "storage/disk_array.h"
 #include "util/rng.h"
 
@@ -67,10 +67,10 @@ ReplayReport replay_classic(const trace::Trace& trace,
 
 ReplayReport replay_flat(const trace::Trace& trace,
                          const storage::ArrayConfig& config,
-                         const ShardedReplayOptions& sharded,
-                         const ReplayOptions& options = {}) {
+                         const ReplayOptions& options = {},
+                         int failed_disk = -1) {
   ReplayEngine engine(options);
-  return engine.replay_sharded(trace, config, sharded);
+  return engine.replay_flat(trace, config, failed_disk);
 }
 
 /// Every metric the report carries, compared for exact equality.
@@ -109,19 +109,12 @@ void expect_identical(const ReplayReport& a, const ReplayReport& b) {
   }
 }
 
-const std::size_t kShardCounts[] = {1, 2, 4, 8};
-
 TEST(ShardedReplay, BitIdenticalToClassicOnHddArray) {
   const trace::Trace trace = mixed_trace(400, 11);
   const auto config = storage::ArrayConfig::hdd_testbed(6);
   const ReplayReport classic = replay_classic(trace, config);
   EXPECT_GT(classic.perf.completions, 0u);
-  for (const std::size_t shards : kShardCounts) {
-    SCOPED_TRACE(shards);
-    ShardedReplayOptions sharded;
-    sharded.shards = shards;
-    expect_identical(classic, replay_flat(trace, config, sharded));
-  }
+  expect_identical(classic, replay_flat(trace, config));
 }
 
 TEST(ShardedReplay, BitIdenticalToClassicOnSsdArray) {
@@ -129,12 +122,7 @@ TEST(ShardedReplay, BitIdenticalToClassicOnSsdArray) {
   const auto config = storage::ArrayConfig::ssd_testbed(4);
   const ReplayReport classic = replay_classic(trace, config);
   EXPECT_GT(classic.perf.completions, 0u);
-  for (const std::size_t shards : kShardCounts) {
-    SCOPED_TRACE(shards);
-    ShardedReplayOptions sharded;
-    sharded.shards = shards;
-    expect_identical(classic, replay_flat(trace, config, sharded));
-  }
+  expect_identical(classic, replay_flat(trace, config));
 }
 
 TEST(ShardedReplay, GoldenCacheDisabledMetricsUnchanged) {
@@ -145,9 +133,7 @@ TEST(ShardedReplay, GoldenCacheDisabledMetricsUnchanged) {
   const trace::Trace trace = mixed_trace(200, 101);
   const auto config = storage::ArrayConfig::hdd_testbed(6);
   const ReplayReport classic = replay_classic(trace, config);
-  ShardedReplayOptions sharded;
-  sharded.shards = 4;
-  const ReplayReport flat = replay_flat(trace, config, sharded);
+  const ReplayReport flat = replay_flat(trace, config);
   expect_identical(classic, flat);
   EXPECT_EQ(classic.perf.completions, 499u);
   EXPECT_EQ(classic.joules, 272.04127048099122);
@@ -159,52 +145,25 @@ TEST(ShardedReplay, GoldenCacheDisabledMetricsUnchanged) {
   EXPECT_EQ(classic.warmup_packages, 0u);
 }
 
-TEST(ShardedReplay, PlannerThreadsDoNotChangeResults) {
-  // Plans computed on worker threads (forced >0 even on 1-core CI) must be
-  // the same bits as inline planning — the FIFO plan-ahead property.
-  const trace::Trace trace = mixed_trace(300, 13);
-  for (const auto& config : {storage::ArrayConfig::hdd_testbed(6),
-                             storage::ArrayConfig::ssd_testbed(4)}) {
-    const ReplayReport classic = replay_classic(trace, config);
-    for (const int planners : {1, 2}) {
-      SCOPED_TRACE(planners);
-      ShardedReplayOptions sharded;
-      sharded.shards = 4;
-      sharded.planner_threads = planners;
-      sharded.plan_block = 32;  // small blocks: more handoffs, same bits
-      expect_identical(classic, replay_flat(trace, config, sharded));
-    }
-  }
-}
-
 TEST(ShardedReplay, DegradedRaid5RebuildPathIsIdentical) {
   // Degraded-mode replay: reconstructed reads fan out to n-1 members,
   // writes take the reconstruct/parity-failed paths. Read-heavy and
-  // write-heavy mixes both compared through every shard count.
+  // write-heavy mixes both compared.
   const auto config = storage::ArrayConfig::hdd_testbed(6);
   for (const double read_ratio : {0.9, 0.1}) {
     const trace::Trace trace = mixed_trace(250, 17, read_ratio);
     const ReplayReport classic = replay_classic(trace, config, {}, 2);
-    for (const std::size_t shards : kShardCounts) {
-      SCOPED_TRACE(shards);
-      ShardedReplayOptions sharded;
-      sharded.shards = shards;
-      sharded.failed_disk = 2;
-      sharded.planner_threads = shards > 2 ? 1 : 0;
-      expect_identical(classic, replay_flat(trace, config, sharded));
-    }
+    expect_identical(classic, replay_flat(trace, config, {}, 2));
   }
 }
 
 TEST(ShardedReplay, Raid0DemotionAndSmallArrays) {
   // disk_count < 3 demotes to RAID0 in DiskArray; the flat kernel must
-  // mirror that (and clamp shards to the disk count).
+  // mirror that.
   const trace::Trace trace = mixed_trace(200, 19);
   auto config = storage::ArrayConfig::hdd_testbed(2);
   const ReplayReport classic = replay_classic(trace, config);
-  ShardedReplayOptions sharded;
-  sharded.shards = 8;  // clamps to 2
-  expect_identical(classic, replay_flat(trace, config, sharded));
+  expect_identical(classic, replay_flat(trace, config));
 }
 
 TEST(ShardedReplay, OptionVariantsStayIdentical) {
@@ -214,16 +173,14 @@ TEST(ShardedReplay, OptionVariantsStayIdentical) {
   ReplayOptions scaled;
   scaled.time_scale = 2.0;
   scaled.max_duration = 0.2;
-  ShardedReplayOptions sharded;
-  sharded.shards = 4;
   expect_identical(replay_classic(trace, config, scaled),
-                   replay_flat(trace, config, sharded, scaled));
+                   replay_flat(trace, config, scaled));
 
   ReplayOptions unwrapped;
   unwrapped.wrap_addresses = true;
   unwrapped.sampling_cycle = 0.05;
   expect_identical(replay_classic(trace, config, unwrapped),
-                   replay_flat(trace, config, sharded, unwrapped));
+                   replay_flat(trace, config, unwrapped));
 }
 
 TEST(ShardedReplay, WarmupWindowStaysIdentical) {
@@ -237,16 +194,11 @@ TEST(ShardedReplay, WarmupWindowStaysIdentical) {
   const ReplayReport classic = replay_classic(trace, config, options);
   EXPECT_GT(classic.warmup_bunches, 0u);
   EXPECT_GT(classic.perf.completions, 0u);
-  for (const std::size_t shards : kShardCounts) {
-    SCOPED_TRACE(shards);
-    ShardedReplayOptions sharded;
-    sharded.shards = shards;
-    expect_identical(classic, replay_flat(trace, config, sharded, options));
-  }
+  expect_identical(classic, replay_flat(trace, config, options));
 }
 
 TEST(ShardedReplay, CacheEnabledConfigMatchesExplicitWrap) {
-  // A cache-enabled config routes replay_sharded through the classic kernel
+  // A cache-enabled config routes replay_flat through the classic kernel
   // with a CacheTier wrapped around the array; the result must equal a
   // caller-built wrap, bit for bit, and actually exercise the cache.
   const trace::Trace trace = mixed_trace(300, 37, 0.7);
@@ -262,12 +214,7 @@ TEST(ShardedReplay, CacheEnabledConfigMatchesExplicitWrap) {
   const ReplayReport classic = engine.replay(trace, cache);
   EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE(shards);
-    ShardedReplayOptions sharded;
-    sharded.shards = shards;
-    expect_identical(classic, replay_flat(trace, config, sharded));
-  }
+  expect_identical(classic, replay_flat(trace, config));
 }
 
 TEST(ShardedReplay, CacheEnabledWarmupStaysIdentical) {
@@ -287,9 +234,7 @@ TEST(ShardedReplay, CacheEnabledWarmupStaysIdentical) {
   const ReplayReport classic = engine.replay(trace, cache);
   EXPECT_GT(classic.warmup_packages, 0u);
 
-  ShardedReplayOptions sharded;
-  sharded.shards = 2;
-  expect_identical(classic, replay_flat(trace, config, sharded, options));
+  expect_identical(classic, replay_flat(trace, config, options));
 }
 
 TEST(ShardedReplay, CycleSnapshotsMatchClassic) {
@@ -310,10 +255,7 @@ TEST(ShardedReplay, CycleSnapshotsMatchClassic) {
     replay_classic(trace, config, options);
   });
   const auto flat = run([&](const ReplayOptions& options) {
-    ShardedReplayOptions sharded;
-    sharded.shards = 4;
-    sharded.planner_threads = 1;
-    replay_flat(trace, config, sharded, options);
+    replay_flat(trace, config, options);
   });
   ASSERT_EQ(classic.size(), flat.size());
   ASSERT_GT(classic.size(), 1u);
@@ -334,33 +276,26 @@ TEST(ShardedReplay, LookDisciplineFallsBackAndStaysIdentical) {
   auto config = storage::ArrayConfig::hdd_testbed(6);
   config.hdd.discipline = storage::HddParams::Discipline::kLook;
   const ReplayReport classic = replay_classic(trace, config);
-  ShardedReplayOptions sharded;
-  sharded.shards = 4;
-  expect_identical(classic, replay_flat(trace, config, sharded));
+  expect_identical(classic, replay_flat(trace, config));
 }
 
 TEST(ShardedReplay, RejectsBadInput) {
   const auto config = storage::ArrayConfig::hdd_testbed(6);
   ReplayEngine engine;
-  EXPECT_THROW(engine.replay_sharded(trace::Trace{}, config),
+  EXPECT_THROW(engine.replay_flat(trace::Trace{}, config),
                std::invalid_argument);
-  auto degraded = ShardedReplayOptions{};
-  degraded.failed_disk = 6;  // out of range
   const trace::Trace trace = mixed_trace(5, 37);
-  EXPECT_THROW(engine.replay_sharded(trace, config, degraded),
+  EXPECT_THROW(engine.replay_flat(trace, config, /*failed_disk=*/6),
                std::out_of_range);
   auto raid0 = storage::ArrayConfig::hdd_testbed(2);  // demotes to RAID0
-  degraded.failed_disk = 0;
-  EXPECT_THROW(engine.replay_sharded(trace, raid0, degraded),
+  EXPECT_THROW(engine.replay_flat(trace, raid0, /*failed_disk=*/0),
                std::logic_error);
 }
 
 TEST(ShardedReplay, NoLateSchedulesOnWellFormedTrace) {
   const trace::Trace trace = mixed_trace(200, 41);
   const auto config = storage::ArrayConfig::hdd_testbed(6);
-  ShardedReplayOptions sharded;
-  sharded.shards = 4;
-  const ReplayReport report = replay_flat(trace, config, sharded);
+  const ReplayReport report = replay_flat(trace, config);
   EXPECT_EQ(report.late_schedules, 0u);
   EXPECT_GT(report.events_dispatched, trace.bunches.size());
 }
@@ -386,20 +321,20 @@ TEST(ShardedReplay, ClassicKernelCapacityStableAcrossReplay) {
 TEST(ShardedReplay, ShardedSimulatorCapacityStable) {
   // Reserve covers the worst case, so a burst of schedules at the reserved
   // level never reallocates.
-  sim::ShardedSimulator sim(4);
+  sim::FlatSimulator sim;
   sim.reserve(64);
-  const std::size_t cap = sim.max_shard_capacity();
+  const std::size_t cap = sim.capacity();
   EXPECT_GE(cap, 64u);
   for (int round = 0; round < 3; ++round) {
     const Seconds base = static_cast<double>(round);
     for (std::uint32_t i = 0; i < 64; ++i) {
-      sim.schedule(i % 4, base + 0.001 * (i + 1), 0, i, round);
+      sim.schedule(base + 0.001 * (i % 16 + 1), 0, i, round);
     }
-    sim::ShardEvent ev;
+    sim::FlatEvent ev;
     std::uint64_t last_seq = 0;
     Seconds last_time = -1.0;
     while (sim.pop(ev)) {
-      EXPECT_GE(ev.time, last_time);  // global (time, seq) order
+      EXPECT_GE(ev.time, last_time);  // (time, seq) order
       if (ev.time == last_time) {
         EXPECT_GT(ev.seq, last_seq);
       }
@@ -407,7 +342,7 @@ TEST(ShardedReplay, ShardedSimulatorCapacityStable) {
       last_seq = ev.seq;
     }
   }
-  EXPECT_EQ(sim.max_shard_capacity(), cap);
+  EXPECT_EQ(sim.capacity(), cap);
   EXPECT_EQ(sim.late_schedule_count(), 0u);
 }
 

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -379,6 +381,20 @@ TEST(FleetEndToEnd, KillRestartResumeMatchesCleanRunExactly) {
   worker_options.ack_timeout = 0.25;
   worker_options.ack_attempts = 100;
 
+  // Workers 1-3 hold every test until worker 0's kill fires, so worker 0
+  // always dies mid-shard after exactly 10 tests, however the threads are
+  // scheduled (it holds the first shard: the coordinator grants to idle
+  // links in index order). The wait's deadline fails the test on a missing
+  // kill instead of hanging it.
+  std::promise<void> kill_fired;
+  const std::shared_future<void> kill_gate = kill_fired.get_future().share();
+  std::once_flag kill_once;
+  const CampaignWorkerService::TestExecutor gated_record =
+      [kill_gate](const workload::WorkloadMode& mode) {
+        kill_gate.wait_for(std::chrono::seconds(60));
+        return synth_record(mode);
+      };
+
   std::vector<std::unique_ptr<net::Communicator>> coordinator_side;
   std::vector<CampaignCoordinator::WorkerLink> links;
   std::vector<std::thread> threads;
@@ -389,14 +405,18 @@ TEST(FleetEndToEnd, KillRestartResumeMatchesCleanRunExactly) {
         std::make_unique<net::Communicator>(std::move(coord_end)));
     links.push_back({"w" + std::to_string(i), coordinator_side.back().get()});
     WorkerOptions options = worker_options;
+    CampaignWorkerService::TestExecutor executor = gated_record;
     if (i == 0) {
       // Seeded kill: worker 0 dies mid-shard after 10 tests, silently.
-      options.kill_switch = [](std::uint64_t executed) {
-        return executed >= 10;
+      options.kill_switch = [&kill_fired, &kill_once](std::uint64_t executed) {
+        if (executed < 10) return false;
+        std::call_once(kill_once, [&kill_fired] { kill_fired.set_value(); });
+        return true;
       };
+      executor = synth_record;
     }
     services.push_back(
-        std::make_unique<CampaignWorkerService>(synth_record, options));
+        std::make_unique<CampaignWorkerService>(executor, options));
     threads.emplace_back(
         [service = services.back().get(),
          comm = std::make_shared<net::Communicator>(std::move(worker_end))] {

@@ -46,8 +46,7 @@ struct Fixture {
   std::vector<IoCompletion> completions;
 
   std::unique_ptr<RaidController> make(std::size_t disk_count,
-                                       RaidLevel level = RaidLevel::kRaid5,
-                                       bool merge = true) {
+                                       RaidLevel level = RaidLevel::kRaid5) {
     std::vector<BlockDevice*> raw;
     for (std::size_t i = 0; i < disk_count; ++i) {
       disks.push_back(std::make_unique<RecordingDisk>(sim, kDiskCapacity));
@@ -55,7 +54,7 @@ struct Fixture {
     }
     RaidGeometry geometry(level, disk_count, 128 * kKiB, kDiskCapacity);
     return std::make_unique<RaidController>(sim, geometry, std::move(raw),
-                                            0.05e-3, merge);
+                                            0.05e-3);
   }
 
   CompletionCallback collect() {
@@ -159,7 +158,7 @@ TEST(RaidController, Raid0WriteHasNoParityCost) {
 
 TEST(RaidController, MergesContiguousRequestsInBatch) {
   Fixture f;
-  auto raid = f.make(6, RaidLevel::kRaid5, /*merge=*/true);
+  auto raid = f.make(6);
   // Eight contiguous 16 KB reads submitted back-to-back (same batch
   // window) covering one 128 KB unit -> one child read.
   for (int i = 0; i < 8; ++i) {
@@ -172,19 +171,6 @@ TEST(RaidController, MergesContiguousRequestsInBatch) {
   EXPECT_EQ(f.total_child_ops(), 1u);
   EXPECT_EQ(f.completions.size(), 8u);
   EXPECT_EQ(raid->stats().merged_batches, 1u);
-}
-
-TEST(RaidController, MergeDisabledIssuesPerRequest) {
-  Fixture f;
-  auto raid = f.make(6, RaidLevel::kRaid5, /*merge=*/false);
-  for (int i = 0; i < 8; ++i) {
-    raid->submit(IoRequest{static_cast<std::uint64_t>(i),
-                           static_cast<Sector>(i) * 32, 16 * kKiB,
-                           OpType::kRead},
-                 f.collect());
-  }
-  f.sim.run();
-  EXPECT_EQ(f.total_child_ops(), 8u);
 }
 
 TEST(RaidController, DoesNotMergeAcrossOpTypes) {

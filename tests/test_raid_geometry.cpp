@@ -4,6 +4,10 @@
 
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace tracer::storage {
 namespace {
@@ -149,6 +153,165 @@ TEST(RaidGeometry, SequentialUnitsRotateAcrossDisks) {
     disks.insert(extents[0].disk);
   }
   EXPECT_EQ(disks.size(), geometry.data_disks());
+}
+
+// ---------------------------------------------------------------------------
+// plan_raid5_write: the single RAID-5 row plan RaidController and the flat
+// replay kernel both execute.
+// ---------------------------------------------------------------------------
+
+using Op = std::tuple<std::size_t, Sector, Bytes>;  // (disk, sector, bytes)
+
+std::vector<Op> ops_of(const std::vector<RaidGeometry::Extent>& extents,
+                       std::size_t begin, std::size_t end) {
+  std::vector<Op> ops;
+  for (std::size_t i = begin; i < end; ++i) {
+    ops.emplace_back(extents[i].disk, extents[i].sector, extents[i].bytes);
+  }
+  return ops;
+}
+
+TEST(Raid5WritePlan, EveryRowKindPlansItsReadsAndWrites) {
+  // 4 disks, 64 KiB units: row 0 keeps data on disks 0,1,2 and parity on
+  // disk 3; row 1 keeps data on 3,0,1 and parity on disk 2.
+  constexpr Bytes kUnit = 64 * kKiB;
+  constexpr Sector kUnitSectors = kUnit / kSectorSize;
+  const RaidGeometry geometry(RaidLevel::kRaid5, 4, kUnit, 64 * kMiB);
+  struct RowCase {
+    std::uint64_t row;
+    RowWriteKind kind;
+    std::vector<Op> reads;
+    std::vector<Op> writes;
+  };
+  struct Case {
+    const char* name;
+    Bytes logical_byte;
+    Bytes bytes;
+    std::ptrdiff_t failed_disk;
+    std::vector<RowCase> rows;
+  };
+  const std::vector<Case> cases = {
+      {"full stripe",
+       0,
+       3 * kUnit,
+       -1,
+       {{0,
+         RowWriteKind::kFullStripe,
+         {},
+         {{0, 0, kUnit}, {1, 0, kUnit}, {2, 0, kUnit}, {3, 0, kUnit}}}}},
+      {"full stripe, data member failed",
+       0,
+       3 * kUnit,
+       1,
+       {{0,
+         RowWriteKind::kFullStripe,
+         {},
+         {{0, 0, kUnit}, {2, 0, kUnit}, {3, 0, kUnit}}}}},
+      {"read-modify-write",
+       8 * kKiB,
+       4 * kKiB,
+       -1,
+       {{0,
+         RowWriteKind::kReadModifyWrite,
+         {{0, 16, 4 * kKiB}, {3, 16, 4 * kKiB}},
+         {{0, 16, 4 * kKiB}, {3, 16, 4 * kKiB}}}}},
+      {"reconstruct-write",
+       kUnit + 8 * kKiB,
+       4 * kKiB,
+       1,
+       {{0,
+         RowWriteKind::kReconstructWrite,
+         {{0, 16, 4 * kKiB}, {2, 16, 4 * kKiB}},
+         {{3, 16, 4 * kKiB}}}}},
+      {"parity member failed",
+       8 * kKiB,
+       4 * kKiB,
+       3,
+       {{0, RowWriteKind::kParityLost, {}, {{0, 16, 4 * kKiB}}}}},
+      {"two rows, both read-modify-write",
+       2 * kUnit,
+       kUnit + 4 * kKiB,
+       -1,
+       {{0,
+         RowWriteKind::kReadModifyWrite,
+         {{2, 0, kUnit}, {3, 0, kUnit}},
+         {{2, 0, kUnit}, {3, 0, kUnit}}},
+        {1,
+         RowWriteKind::kReadModifyWrite,
+         {{3, kUnitSectors, 4 * kKiB}, {2, kUnitSectors, 4 * kKiB}},
+         {{3, kUnitSectors, 4 * kKiB}, {2, kUnitSectors, 4 * kKiB}}}}},
+  };
+  Raid5WritePlan plan;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    plan_raid5_write(geometry, geometry.map(c.logical_byte, c.bytes),
+                     c.failed_disk, plan);
+    ASSERT_EQ(plan.rows.size(), c.rows.size());
+    std::size_t reads_at = 0;
+    std::size_t writes_at = 0;
+    for (std::size_t r = 0; r < c.rows.size(); ++r) {
+      const RowWritePlan& row = plan.rows[r];
+      EXPECT_EQ(row.row, c.rows[r].row);
+      EXPECT_EQ(row.kind, c.rows[r].kind);
+      // Rows own consecutive, gap-free slices of reads and writes.
+      EXPECT_EQ(row.reads_begin, reads_at);
+      EXPECT_EQ(row.writes_begin, writes_at);
+      EXPECT_EQ(ops_of(plan.reads, row.reads_begin, row.reads_end),
+                c.rows[r].reads);
+      EXPECT_EQ(ops_of(plan.writes, row.writes_begin, row.writes_end),
+                c.rows[r].writes);
+      reads_at = row.reads_end;
+      writes_at = row.writes_end;
+    }
+    EXPECT_EQ(reads_at, plan.reads.size());
+    EXPECT_EQ(writes_at, plan.writes.size());
+  }
+
+  // Degenerate corner: no extents, nothing to plan — and the plan's
+  // previous contents are cleared.
+  plan_raid5_write(geometry, {}, -1, plan);
+  EXPECT_TRUE(plan.rows.empty());
+  EXPECT_TRUE(plan.reads.empty());
+  EXPECT_TRUE(plan.writes.empty());
+}
+
+TEST(Raid5WritePlan, SmallRandomWriteCostsExactlyFourDiskIos) {
+  // The paper's small-write penalty (§VI, Fig 11): a write inside one
+  // stripe unit of a healthy RAID-5 reads old data + old parity and writes
+  // new data + new parity — 2 reads, 2 writes, 4 disk I/Os.
+  util::Rng rng(2010);
+  Raid5WritePlan plan;
+  for (const std::size_t disks : {3u, 4u, 6u, 8u}) {
+    const RaidGeometry geometry(RaidLevel::kRaid5, disks, 128 * kKiB,
+                                256 * kMiB);
+    const std::uint64_t unit_sectors = geometry.stripe_unit / kSectorSize;
+    const std::uint64_t units = geometry.rows() * geometry.data_disks();
+    for (int i = 0; i < 500; ++i) {
+      const std::uint64_t unit = rng.below(units);
+      const std::uint64_t offset = rng.below(unit_sectors);
+      // 1 .. (unit_sectors - offset) sectors, never the whole unit.
+      std::uint64_t sectors = 1 + rng.below(unit_sectors - offset);
+      if (sectors == unit_sectors) --sectors;
+      const Bytes logical =
+          unit * geometry.stripe_unit + offset * kSectorSize;
+      const auto extents = geometry.map(logical, sectors * kSectorSize);
+      ASSERT_EQ(extents.size(), 1u);
+      plan_raid5_write(geometry, extents, -1, plan);
+      ASSERT_EQ(plan.rows.size(), 1u);
+      EXPECT_EQ(plan.rows[0].kind, RowWriteKind::kReadModifyWrite);
+      ASSERT_EQ(plan.reads.size(), 2u);
+      ASSERT_EQ(plan.writes.size(), 2u);
+      EXPECT_EQ(plan.reads.size() + plan.writes.size(), 4u);
+      // Data and parity land on distinct members, at the same sectors.
+      const std::size_t parity = geometry.parity_disk(extents[0].row);
+      EXPECT_EQ(plan.reads[0].disk, extents[0].disk);
+      EXPECT_EQ(plan.reads[1].disk, parity);
+      EXPECT_NE(extents[0].disk, parity);
+      EXPECT_EQ(plan.reads[1].sector, extents[0].sector);
+      EXPECT_EQ(plan.writes[0].disk, extents[0].disk);
+      EXPECT_EQ(plan.writes[1].disk, parity);
+    }
+  }
 }
 
 }  // namespace

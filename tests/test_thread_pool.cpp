@@ -6,6 +6,7 @@
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 namespace tracer::util {
 namespace {
@@ -141,30 +142,34 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
 }
 
 TEST(ThreadPool, TasksRunConcurrently) {
+  // Start barrier: each task records its arrival, then waits until both
+  // have arrived, so both are in flight at once whichever the pool starts
+  // first. A pool that ran them one after the other would leave the first
+  // task waiting forever; the deadline turns that into a failure instead
+  // of a hang.
   ThreadPool pool(2);
+  std::atomic<int> arrived{0};
   std::atomic<int> in_flight{0};
   std::atomic<int> max_in_flight{0};
-  std::atomic<bool> release{false};
-  auto a = pool.submit([&] {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto task = [&] {
     const int now = ++in_flight;
     int expected = max_in_flight.load();
     while (now > expected &&
            !max_in_flight.compare_exchange_weak(expected, now)) {
     }
-    while (!release.load()) std::this_thread::yield();
-    --in_flight;
-  });
-  auto b = pool.submit([&] {
-    const int now = ++in_flight;
-    int expected = max_in_flight.load();
-    while (now > expected &&
-           !max_in_flight.compare_exchange_weak(expected, now)) {
+    ++arrived;
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
     }
-    release.store(true);
     --in_flight;
-  });
+  };
+  auto a = pool.submit(task);
+  auto b = pool.submit(task);
   a.get();
   b.get();
+  EXPECT_EQ(arrived.load(), 2);
   EXPECT_EQ(max_in_flight.load(), 2);
 }
 

@@ -1,7 +1,7 @@
 // tracer-no-nondeterminism-in-sim: replay must be bit-reproducible.
 //
-// The sharded replay kernel's contract is EXPECT_EQ on doubles against the
-// classic kernel for every shard/worker count (docs/PERF.md); the fleet
+// The flat replay kernel's contract is EXPECT_EQ on doubles against the
+// classic kernel (docs/PERF.md); the fleet
 // soak's contract is a merged journal bit-identical to a clean run. Both
 // die the moment anything in a simulation path consumes entropy or
 // iterates a hash container in address order. The sanctioned randomness is
