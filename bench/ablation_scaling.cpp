@@ -30,9 +30,7 @@ int main() {
 
   auto run = [&](const trace::Trace& trace) {
     core::ReplayEngine engine;
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(trace, array);
+    return engine.replay_flat(trace, storage::ArrayConfig::hdd_testbed(6));
   };
 
   util::Table table({"intensity %", "filter IOPS", "scale IOPS",
@@ -74,5 +72,5 @@ int main() {
   bench::print_verdict(iops_200 > iops_100 * 1.5,
                        "inter-arrival scaling reaches intensities above "
                        "100 % (200 % replay sustains higher throughput)");
-  return 0;
+  return bench::verdict_exit_code();
 }

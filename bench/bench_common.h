@@ -3,8 +3,10 @@
 // Every bench binary regenerates one table or figure from the paper's
 // evaluation: it prints (a) the paper's qualitative claim, (b) the measured
 // series from the simulated testbed, and (c) a PASS/CHECK verdict on the
-// claim's shape. Bench binaries are plain executables; micro_core uses
-// google-benchmark.
+// claim's shape. A CHECK verdict is a failure: benches end main() with
+// `return bench::verdict_exit_code();`, so a regressed shape exits non-zero
+// (CI's bench-smoke job runs every verdict bench). Bench binaries are plain
+// executables; micro_core uses google-benchmark.
 #pragma once
 
 #include <cstdio>
@@ -42,9 +44,19 @@ inline void print_header(const std::string& experiment,
   std::printf("==============================================================\n");
 }
 
+/// CHECK verdicts printed so far by this process.
+inline int& failed_verdicts() {
+  static int count = 0;
+  return count;
+}
+
 inline void print_verdict(bool ok, const std::string& what) {
   std::printf("[%s] %s\n\n", ok ? "PASS" : "CHECK", what.c_str());
+  if (!ok) ++failed_verdicts();
 }
+
+/// main()'s exit status: 1 once any verdict printed CHECK, else 0.
+inline int verdict_exit_code() { return failed_verdicts() == 0 ? 0 : 1; }
 
 /// Is the series monotonically non-decreasing (within fractional slack)?
 inline bool mostly_increasing(const std::vector<double>& values,

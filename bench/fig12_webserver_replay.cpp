@@ -37,9 +37,8 @@ int main() {
     core::ReplayOptions options;
     options.sampling_cycle = interval;
     core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    const core::ReplayReport report = engine.replay(filtered, array);
+    const core::ReplayReport report =
+        engine.replay_flat(filtered, storage::ArrayConfig::hdd_testbed(6));
     if (report.late_schedules != 0) {
       // A late schedule means the DES clamped an event into the present —
       // the replayed timing silently drifted. Figure data would be invalid.
@@ -88,5 +87,5 @@ int main() {
   bench::print_verdict(shape_ok,
                        "workload trend unchanged across load proportions "
                        "(per-minute correlation > 0.95)");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -23,9 +23,7 @@ int main() {
   auto run = [&](const trace::Trace& trace) {
     core::ReplayOptions options;
     core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(trace, array);
+    return engine.replay_flat(trace, storage::ArrayConfig::hdd_testbed(6));
   };
 
   const core::ReplayReport base = run(web);
@@ -54,5 +52,5 @@ int main() {
   std::printf("max error: %.2f %%\n", max_error * 100.0);
   bench::print_verdict(max_error < 0.08,
                        "real-world trace error within the paper's ~7 % band");
-  return 0;
+  return bench::verdict_exit_code();
 }

@@ -33,9 +33,7 @@ int main() {
   auto run = [&](const trace::Trace& trace) {
     core::ReplayOptions options;
     core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    return engine.replay(trace, array);
+    return engine.replay_flat(trace, storage::ArrayConfig::hdd_testbed(6));
   };
   const core::ReplayReport base = run(cello);
 
@@ -64,5 +62,5 @@ int main() {
   bench::print_verdict(max_error < 0.35,
                        "cello error within the paper's Table V band "
                        "(worst paper row ~32 % at 10 % load)");
-  return 0;
+  return bench::verdict_exit_code();
 }

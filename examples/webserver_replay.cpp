@@ -50,9 +50,8 @@ int main(int argc, char** argv) {
     core::ReplayOptions options;
     options.sampling_cycle = 60.0;  // the paper's one-minute intervals
     core::ReplayEngine engine(options);
-    storage::DiskArray array(engine.simulator(),
-                             storage::ArrayConfig::hdd_testbed(6));
-    const core::ReplayReport report = engine.replay(filtered, array);
+    const core::ReplayReport report =
+        engine.replay_flat(filtered, storage::ArrayConfig::hdd_testbed(6));
     table.row()
         .add(static_cast<int>(load * 100))
         .add(report.perf.iops, 1)

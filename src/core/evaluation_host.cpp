@@ -174,8 +174,6 @@ TestResult EvaluationHost::replay_filtered(
   replay_options.sensor_seed = options_.seed ^ 0x9e3779b9ULL;
   replay_options.on_cycle = options_.on_cycle;
   ReplayEngine engine(replay_options);
-  storage::ArrayConfig config = array_;
-  storage::DiskArray array(engine.simulator(), config);
 
   // External power measurement brackets the replay. A channel that fails
   // to open degrades the test (power_valid=false) — it never aborts it:
@@ -189,7 +187,7 @@ TestResult EvaluationHost::replay_filtered(
   ReplayReport report = [&] {
     TRACER_SPAN("host.replay");
     obs::ScopedTimer timer(replay_us, replay_calls);
-    return engine.replay(*filtered, array);
+    return engine.replay_flat(*filtered, array_);
   }();
 
   std::optional<PowerReading> reading;

@@ -4,6 +4,12 @@
 // and stores one database record per test — the whole §III-B procedure as
 // a library call.
 //
+// Tests replay on the flat kernel (ReplayEngine::replay_flat), which gives
+// the classic kernel's bits and falls back to it for cache-enabled and
+// LOOK arrays. A cache-enabled ArrayConfig therefore replays with its
+// controller cache in front of the array. Peak-trace collection still runs
+// the synthetic generator on the classic simulator.
+//
 // Sweeps fan out across a thread pool: each test gets its own simulator and
 // its own array instance, the in-process analogue of Fig 3's multiple
 // workload-generator machines and multi-channel power analyzers.

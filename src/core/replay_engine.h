@@ -142,8 +142,9 @@ class ReplayEngine {
   /// member failed before replay (degraded RAID-5), mirroring
   /// RaidController::fail_disk. Metrics are bit-identical to replay()
   /// against a DiskArray built from the same config. Arrays whose HDDs use
-  /// a non-FIFO discipline, and cache-enabled configs, replay through the
-  /// classic kernel instead.
+  /// a non-FIFO discipline, and cache-enabled configs (the array wrapped in
+  /// a CacheTier), replay through the classic kernel instead. This is the
+  /// entry point EvaluationHost, and so every campaign test, replays on.
   ReplayReport replay_flat(const trace::TraceSource& source,
                            const storage::ArrayConfig& config,
                            int failed_disk = -1);

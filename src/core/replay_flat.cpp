@@ -91,9 +91,16 @@ static_assert(sizeof(ChildOp) == 64, "ChildOp should stay one cache line");
 /// move once allocated (only the pointer table grows), so a ChildOp
 /// reference stays valid across appends; fully-completed blocks are freed
 /// to bound memory on long replays.
+///
+/// A block is 256 ops = 16 KiB, the plan-block size. Small blocks keep a
+/// short replay's cost proportional to the ops it actually logs (a block
+/// is value-initialised when allocated), and 16 KiB sits below glibc's
+/// mmap and trim thresholds, so freed blocks are recycled from the heap
+/// instead of going back to the OS and being page-faulted in again by the
+/// next replay.
 class OpLog {
  public:
-  static constexpr std::uint64_t kBlockShift = 12;  // 4096 ops = 256 KiB
+  static constexpr std::uint64_t kBlockShift = 8;
   static constexpr std::uint64_t kBlockSize = 1ULL << kBlockShift;
   static constexpr std::uint64_t kBlockMask = kBlockSize - 1;
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <set>
 
+#include "core/proportional_filter.h"
 #include "obs/registry.h"
 #include "util/cancel_token.h"
 #include "util/thread_pool.h"
@@ -252,6 +254,72 @@ TEST_F(EvaluationHostTest, SsdArrayWorksEndToEnd) {
   const TestResult result = host.run_test(mode(1.0));
   EXPECT_GT(result.record.avg_watts, 190.0);  // chassis-dominated
   EXPECT_GT(result.record.mbps, 1.0);
+}
+
+TEST_F(EvaluationHostTest, RunTestMatchesClassicKernelReplay) {
+  // The host replays on the flat kernel (ReplayEngine::replay_flat). Its
+  // records must carry the exact bits of a classic-kernel replay of the
+  // same filtered peak trace with the same options; cache-enabled and LOOK
+  // configs must take the classic fallback, the others must not.
+  struct Case {
+    std::string name;
+    storage::ArrayConfig config;
+    std::uint64_t fallbacks;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"hdd6-raid5", storage::ArrayConfig::hdd_testbed(6), 0});
+  cases.push_back({"ssd4-raid5", storage::ArrayConfig::ssd_testbed(4), 0});
+  cases.push_back({"hdd2-raid0", storage::ArrayConfig::hdd_testbed(2), 0});
+  cases.back().config.level = storage::RaidLevel::kRaid0;
+  cases.push_back({"hdd6-cache", storage::ArrayConfig::hdd_testbed(6), 1});
+  cases.back().config.cache.enabled = true;
+  cases.back().config.cache.capacity = 2 * kMiB;
+  cases.push_back({"hdd6-look", storage::ArrayConfig::hdd_testbed(6), 1});
+  cases.back().config.hdd.discipline = storage::HddParams::Discipline::kLook;
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.config.name = c.name;
+    EvaluationHost host(c.config, dir_, options_);
+    for (const double load : {0.3, 1.0}) {
+      SCOPED_TRACE(load);
+      const workload::WorkloadMode m = mode(load);
+      auto filtered = trace::make_source(
+          trace::TraceView(host.peak_trace_shared(m)));
+      if (load < 1.0) filtered = ProportionalFilter::apply(filtered, load);
+
+      ReplayOptions replay_options;
+      replay_options.sampling_cycle = options_.sampling_cycle;
+      replay_options.sensor_seed = options_.seed ^ 0x9e3779b9ULL;
+      ReplayEngine engine(replay_options);
+      storage::DiskArray array(engine.simulator(), c.config);
+      std::optional<storage::CacheTier> cache;
+      if (c.config.cache.enabled) {
+        cache.emplace(engine.simulator(), c.config.cache, array);
+      }
+      const ReplayReport classic =
+          cache ? engine.replay(*filtered, *cache)
+                : engine.replay(*filtered, array);
+
+      const auto fallbacks = [] {
+        const obs::Snapshot s = obs::Registry::global().snapshot();
+        return s.counter_or("replay.flat.fallbacks") +
+               s.counter_or("replay.flat.cache_fallbacks");
+      };
+      const std::uint64_t before = fallbacks();
+      const db::TestRecord r = host.run_test(m).record;
+      EXPECT_EQ(fallbacks() - before, c.fallbacks);
+
+      EXPECT_GT(classic.perf.completions, 0u);
+      EXPECT_EQ(r.iops, classic.perf.iops);
+      EXPECT_EQ(r.mbps, classic.perf.mbps);
+      EXPECT_EQ(r.avg_response_ms, classic.perf.avg_response_ms);
+      EXPECT_EQ(r.avg_watts, classic.avg_watts);
+      EXPECT_EQ(r.joules, classic.joules);
+      EXPECT_EQ(r.iops_per_watt, classic.efficiency.iops_per_watt);
+      EXPECT_EQ(r.mbps_per_kilowatt, classic.efficiency.mbps_per_kilowatt);
+    }
+  }
 }
 
 }  // namespace

@@ -166,6 +166,64 @@ TEST(ShardedReplay, Raid0DemotionAndSmallArrays) {
   expect_identical(classic, replay_flat(trace, config));
 }
 
+// ---------------------------------------------------------------------------
+// OpLog block boundaries: each member's op log spans many 256-op blocks and
+// ends mid-block, so block allocation, the freeing of completed blocks and
+// the partial tail block are all on the compared path. The classic
+// kernel's per-disk request counts equal the flat lanes' op counts (one
+// child op per member request).
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kOpLogBlock = 256;
+
+void expect_many_blocks_per_lane(const std::vector<std::uint64_t>& ops) {
+  for (std::size_t d = 0; d < ops.size(); ++d) {
+    SCOPED_TRACE(d);
+    EXPECT_GT(ops[d], 7 * kOpLogBlock);    // spans at least 8 blocks
+    EXPECT_NE(ops[d] % kOpLogBlock, 0u);   // ends inside a partial block
+  }
+}
+
+TEST(ShardedReplay, SsdOpLogsSpanManyBlocks) {
+  // SSD members serve several requests at once across channels, so
+  // completions (and block frees) arrive out of order.
+  const trace::Trace trace = mixed_trace(1500, 53);
+  const auto config = storage::ArrayConfig::ssd_testbed(4);
+  ReplayEngine engine;
+  storage::DiskArray array(engine.simulator(), config);
+  const ReplayReport classic = engine.replay(trace, array);
+  std::vector<std::uint64_t> ops;
+  for (std::size_t d = 0; d < array.disk_count(); ++d) {
+    ops.push_back(
+        dynamic_cast<storage::SsdModel&>(array.disk(d)).completed_requests());
+  }
+  expect_many_blocks_per_lane(ops);
+  expect_identical(classic, replay_flat(trace, config));
+}
+
+TEST(ShardedReplay, DegradedRaid5OpLogsSpanManyBlocks) {
+  // Degraded RAID-5 appends each row's deferred parity writes only after
+  // its reads complete, interleaved with later transactions' ops.
+  constexpr int kFailed = 2;
+  const trace::Trace trace = mixed_trace(1200, 59, 0.3, 0.01);
+  const auto config = storage::ArrayConfig::hdd_testbed(6);
+  ReplayEngine engine;
+  storage::DiskArray array(engine.simulator(), config);
+  array.controller().fail_disk(kFailed);
+  const ReplayReport classic = engine.replay(trace, array);
+  std::vector<std::uint64_t> ops;
+  const auto hdds = array.hdd_disks();
+  for (std::size_t d = 0; d < hdds.size(); ++d) {
+    if (d == kFailed) {
+      EXPECT_EQ(hdds[d]->completed_requests(), 0u);
+      continue;
+    }
+    ops.push_back(hdds[d]->completed_requests());
+  }
+  expect_many_blocks_per_lane(ops);
+  expect_identical(classic, replay_flat(trace, config, {}, kFailed));
+}
+
 TEST(ShardedReplay, OptionVariantsStayIdentical) {
   const trace::Trace trace = mixed_trace(300, 23);
   const auto config = storage::ArrayConfig::hdd_testbed(6);
